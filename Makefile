@@ -1,4 +1,4 @@
-.PHONY: all check test bench perf qor report dashboard clean
+.PHONY: all check test bench perf qor identity report dashboard clean
 
 all:
 	dune build @all
@@ -26,6 +26,13 @@ qor:
 	dune exec bench/main.exe -- qor
 	dune exec bin/analog_place.exe -- report BENCH_ledger.jsonl \
 	  --baseline bench/qor_baseline.jsonl --svg-dir qor-svg
+
+# refactor identity proof: append a fresh E18 run and require it to
+# equal the committed baseline field for field, ignoring only wall
+# times, timestamp, git rev and the host's worker count
+identity:
+	dune exec bench/main.exe -- qor
+	python3 bench/ledger_identity.py BENCH_ledger.jsonl bench/qor_baseline.jsonl
 
 # trend report over the local bench ledger (no baseline)
 report:

@@ -1195,20 +1195,16 @@ let qor () =
     let w0 = Unix.gettimeofday () in
     let placement, cost, sa_rounds, evaluated =
       match engine with
-      | "sp" ->
+      | ("sp" | "bstar") as e ->
           let o =
-            Placer.Sa_seqpair.place ~groups ?chains ~telemetry ~rng circuit
+            if e = "sp" then
+              Placer.Sa_seqpair.place ~groups ?chains ~telemetry ~rng circuit
+            else Placer.Sa_bstar.place ?chains ~telemetry ~rng circuit
           in
-          ( o.Placer.Sa_seqpair.placement,
-            o.Placer.Sa_seqpair.cost,
-            o.Placer.Sa_seqpair.sa_rounds,
-            o.Placer.Sa_seqpair.evaluated )
-      | "bstar" ->
-          let o = Placer.Sa_bstar.place ?chains ~telemetry ~rng circuit in
-          ( o.Placer.Sa_bstar.placement,
-            o.Placer.Sa_bstar.cost,
-            o.Placer.Sa_bstar.sa_rounds,
-            o.Placer.Sa_bstar.evaluated )
+          ( o.Placer.Annealing.placement,
+            o.Placer.Annealing.cost,
+            o.Placer.Annealing.sa_rounds,
+            o.Placer.Annealing.evaluated )
       | "esf" ->
           (* deterministic enumeration: the seed only labels the row *)
           let r =

@@ -253,33 +253,23 @@ let run_place do_route netlist bench engine seed svg quiet cluster validate
         o.Placer.Portfolio.evaluated ))
     else
       match engine with
-      | Sp ->
+      | (Sp | Bstar_flat | Tcg) as e ->
           let o =
-            Placer.Sa_seqpair.place ~weights ~groups ?validate ?workers
-              ?chains ~mode ?estimator ~telemetry ~rng circuit
+            match e with
+            | Sp ->
+                Placer.Sa_seqpair.place ~weights ~groups ?validate ?workers
+                  ?chains ~mode ?estimator ~telemetry ~rng circuit
+            | Bstar_flat ->
+                Placer.Sa_bstar.place ~weights ?validate ?workers ?chains
+                  ~mode ?estimator ~telemetry ~rng circuit
+            | _ ->
+                Placer.Sa_tcg.place ~weights ?validate ?workers ?chains ~mode
+                  ?estimator ~telemetry ~rng circuit
           in
-          ( o.Placer.Sa_seqpair.placement.Placer.Placement.placed,
-            Some o.Placer.Sa_seqpair.cost,
-            o.Placer.Sa_seqpair.sa_rounds,
-            o.Placer.Sa_seqpair.evaluated )
-      | Bstar_flat ->
-          let o =
-            Placer.Sa_bstar.place ~weights ?validate ?workers ?chains ~mode
-              ?estimator ~telemetry ~rng circuit
-          in
-          ( o.Placer.Sa_bstar.placement.Placer.Placement.placed,
-            Some o.Placer.Sa_bstar.cost,
-            o.Placer.Sa_bstar.sa_rounds,
-            o.Placer.Sa_bstar.evaluated )
-      | Tcg ->
-          let o =
-            Placer.Sa_tcg.place ~weights ?validate ?workers ?chains ~mode
-              ?estimator ~telemetry ~rng circuit
-          in
-          ( o.Placer.Sa_tcg.placement.Placer.Placement.placed,
-            Some o.Placer.Sa_tcg.cost,
-            o.Placer.Sa_tcg.sa_rounds,
-            o.Placer.Sa_tcg.evaluated )
+          ( o.Placer.Annealing.placement.Placer.Placement.placed,
+            Some o.Placer.Annealing.cost,
+            o.Placer.Annealing.sa_rounds,
+            o.Placer.Annealing.evaluated )
       | Hbstar ->
         ((Bstar.Hbstar.place ~rng circuit hierarchy).Bstar.Hbstar.placed, None, 0, 0)
     | Esf ->
@@ -390,8 +380,8 @@ let run_place do_route netlist bench engine seed svg quiet cluster validate
   | Some path ->
       let json = Telemetry.Export.chrome_json telemetry in
       (* the emitter self-checks: a malformed trace is a bug, not data *)
-      (match Telemetry.Export.check_json json with
-      | Ok () -> ()
+      (match Telemetry.Json.parse json with
+      | Ok _ -> ()
       | Error e ->
           Printf.eprintf "internal error: invalid trace JSON: %s\n" e;
           exit 2);
@@ -1378,15 +1368,14 @@ let run_dashboard ledger out title last netlist bench engine seed do_route
         let telemetry = Telemetry.Sink.create ~trace_capacity:65536 () in
         let placed =
           match engine with
-          | Sp ->
-              (Placer.Sa_seqpair.place ~groups ~telemetry ~rng circuit)
-                .Placer.Sa_seqpair.placement.Placer.Placement.placed
-          | Bstar_flat ->
-              (Placer.Sa_bstar.place ~telemetry ~rng circuit)
-                .Placer.Sa_bstar.placement.Placer.Placement.placed
-          | Tcg ->
-              (Placer.Sa_tcg.place ~telemetry ~rng circuit)
-                .Placer.Sa_tcg.placement.Placer.Placement.placed
+          | (Sp | Bstar_flat | Tcg) as e ->
+              let o =
+                match e with
+                | Sp -> Placer.Sa_seqpair.place ~groups ~telemetry ~rng circuit
+                | Bstar_flat -> Placer.Sa_bstar.place ~telemetry ~rng circuit
+                | _ -> Placer.Sa_tcg.place ~telemetry ~rng circuit
+              in
+              o.Placer.Annealing.placement.Placer.Placement.placed
           | Hbstar ->
               (Bstar.Hbstar.place ~rng circuit hierarchy).Bstar.Hbstar.placed
           | Esf ->

@@ -4,7 +4,7 @@
     Runs one {!Sa} chain per seed on a {!Pool} spawned once per call,
     in one of two modes:
 
-    - {b Deterministic} ({!run} / {!run_mutable}): chains advance in
+    - {b Deterministic} ([mode = `Deterministic]): chains advance in
       lock-step slices of [exchange_every] rounds; each slice is a
       pool barrier and at the boundary the globally best state is
       offered to every chain ({!Sa.adopt} — taken only when strictly
@@ -16,8 +16,7 @@
       single seed with any worker count reproduces
       [Sa.run ~rng:(Rng.create seed)] exactly (both tested).
 
-    - {b Async / free-running} ({!run_async} / {!run_mutable_async}):
-      each chain is one pool job running to completion at its own
+    - {b Async / free-running} ([mode = `Async]): each chain is one pool job running to completion at its own
       pace; there is no join barrier. Chains publish their bests to a
       shared {!Elite} pool and pull the global best at their own slice
       boundaries, so a slow chain never stalls the rest — this is the
@@ -74,95 +73,56 @@ val record_chain_qor :
 val run :
   ?pool:Pool.t ->
   ?workers:int ->
+  ?mode:[ `Deterministic | `Async ] ->
   ?exchange_every:int ->
   ?check:('a -> unit) ->
   ?telemetry:Telemetry.Sink.t ->
   ?engine:string ->
   seeds:int list ->
   Sa.params ->
-  (Telemetry.Sink.t -> Prelude.Rng.t -> 'a Sa.problem) ->
+  (Telemetry.Sink.t -> Prelude.Rng.t -> 'a Sa.mproblem) ->
   'a outcome
-(** Deterministic mode over functional chains. [pool] reuses a
-    caller-owned {!Pool} (left running afterwards — how a long-lived
-    service amortizes domain spawns across requests; [workers] is then
-    ignored in favor of the pool's width); without it a private pool
-    is created and shut down per call. [workers] defaults to
-    {!default_workers}, capped at the number of seeds;
+(** Multi-start annealing, one {!Sa.chain} per seed. [mode] defaults
+    to [`Deterministic]. A functional problem runs through
+    {!Sa.of_problem}. [problem_of] must create the whole mutable state
+    (arenas included) per chain, so no two chains share buffers;
+    exchange copies states across chains with the problem's [blit].
+
+    [pool] reuses a caller-owned {!Pool} (left running afterwards —
+    how a long-lived service amortizes domain spawns across requests;
+    [workers] is then ignored in favor of the pool's width); without
+    it a private pool is created and shut down per call. [workers]
+    defaults to {!default_workers}, capped at the number of seeds;
     [exchange_every] defaults to 32 rounds, and any non-positive value
     disables exchange entirely (fully independent restarts). Raises
     [Invalid_argument] on an empty seed list.
 
-    [check] is a sanitizer hook: it runs on the globally best state at
-    every exchange boundary (after the barrier, before the state is
-    offered to the chains) and once more on the final winner, on the
-    calling domain. Raise from it to abort the run on an invariant
-    violation; the default does nothing.
+    [check] is a sanitizer hook (default: nothing); raise from it to
+    abort the run on an invariant violation. It always runs once on
+    the final winner's best, on the calling domain. In deterministic
+    mode it also runs on the globally best state at every exchange
+    boundary (after the barrier, before the state is offered to the
+    chains); that state is a chain's best-snapshot buffer — treat it
+    as read-only. In async mode it runs on every state {e before} it
+    is published (on the publishing chain's domain); a raise there
+    aborts the run — other chains notice at their next slice boundary
+    and the first exception is re-raised on the caller. Published
+    states are fresh {!Sa.outcome} copies, never mutated afterwards.
 
     [engine] tags the per-chain QoR records (see below) with the
     engine name — placers pass ["sp"], ["bstar"], ["tcg"].
 
     [telemetry] (default {!Telemetry.Sink.null}) receives
     ["parallel.slice"] / ["parallel.exchange"] spans and a
-    ["parallel.exchanges"] counter from the coordinating domain; each
-    chain records into a private child sink (tid = seed index + 1):
-    per-round ["sa.round"] and per-slice ["chain.slice"] spans, a
-    ["chain.slice_us"] counter accumulating slice wall time as slices
-    close, and one final {!Telemetry.Qor.chain} record carrying the
-    chain's best cost, rounds, evaluations, accumulated wall time,
-    move-class tallies and the engine/mode tags. Children are merged
-    into [telemetry] after the final drain. Telemetry draws nothing
-    from any rng, so results remain a pure function of
-    seeds/params/exchange and worker-count invariant. *)
-
-val run_mutable :
-  ?pool:Pool.t ->
-  ?workers:int ->
-  ?exchange_every:int ->
-  ?check:('a -> unit) ->
-  ?telemetry:Telemetry.Sink.t ->
-  ?engine:string ->
-  seeds:int list ->
-  Sa.params ->
-  (Telemetry.Sink.t -> Prelude.Rng.t -> 'a Sa.mproblem) ->
-  'a outcome
-(** {!run} over in-place chains ({!Sa.mproblem}). Same parameters and
-    the same determinism guarantee. [problem_of] must create the whole
-    mutable state (arenas included) per chain, so no two chains share
-    buffers; exchange copies states across chains with the problem's
-    [blit]. [check] receives the winner's best-snapshot buffer —
-    treat it as read-only. *)
-
-val run_async :
-  ?pool:Pool.t ->
-  ?workers:int ->
-  ?exchange_every:int ->
-  ?check:('a -> unit) ->
-  ?telemetry:Telemetry.Sink.t ->
-  ?engine:string ->
-  seeds:int list ->
-  Sa.params ->
-  (Telemetry.Sink.t -> Prelude.Rng.t -> 'a Sa.problem) ->
-  'a outcome
-(** Free-running mode over functional chains: no barrier, elite-pool
-    exchange at each chain's own [exchange_every]-round slice
-    boundaries. [check] runs on every state {e before} it is
-    published (on the publishing chain's domain) and once on the
-    final winner (on the calling domain); a raise aborts the run —
-    other chains notice at their next slice boundary and the first
-    exception is re-raised on the caller. Each chain's child sink
-    additionally counts ["chain.publishes"] / ["chain.pulls"]. *)
-
-val run_mutable_async :
-  ?pool:Pool.t ->
-  ?workers:int ->
-  ?exchange_every:int ->
-  ?check:('a -> unit) ->
-  ?telemetry:Telemetry.Sink.t ->
-  ?engine:string ->
-  seeds:int list ->
-  Sa.params ->
-  (Telemetry.Sink.t -> Prelude.Rng.t -> 'a Sa.mproblem) ->
-  'a outcome
-(** {!run_async} over in-place chains. Published states are fresh
-    {!Sa.mbest_copy} snapshots, never mutated afterwards, so
-    cross-domain adoption blits read from immutable buffers. *)
+    ["parallel.exchanges"] counter from the coordinating domain
+    (deterministic mode); each chain records into a private child sink
+    (tid = seed index + 1): per-round ["sa.round"] and per-slice
+    ["chain.slice"] spans, a ["chain.slice_us"] counter accumulating
+    slice wall time as slices close, in async mode
+    ["chain.publishes"] / ["chain.pulls"] counters, and one final
+    {!Telemetry.Qor.chain} record carrying the chain's best cost,
+    rounds, evaluations, accumulated wall time, move-class tallies and
+    the engine/mode tags. Children are merged into [telemetry] after
+    the final drain. Telemetry draws nothing from any rng, so results
+    remain a pure function of seeds/params/exchange and worker-count
+    invariant in deterministic mode. *)

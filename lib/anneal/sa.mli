@@ -4,7 +4,13 @@
     caller; the engine owns the control loop: Metropolis acceptance,
     temperature schedule, best-so-far tracking and freezing detection.
     All placers in this repository (sequence-pair, B*-tree, HB*-tree,
-    and the layout-aware sizing optimizer of §V) instantiate it. *)
+    TCG, slicing, absolute) and the layout-aware sizing optimizer of §V
+    instantiate it.
+
+    There is one engine: a chain over an {!mproblem}, whose working
+    state is mutated in place. A functional {!problem} enters it
+    through the {!of_problem} adapter; {!run} is that adapter followed
+    by the engine. *)
 
 type 'a problem = {
   init : 'a;
@@ -37,69 +43,13 @@ type 'a outcome = {
   evaluated : int;
 }
 
-val run :
-  ?telemetry:Telemetry.Sink.t -> rng:Prelude.Rng.t -> params -> 'a problem -> 'a outcome
-(** [telemetry] (default {!Telemetry.Sink.null}) receives one
-    ["sa.round"] span, one convergence sample (round, temperature,
-    acceptance ratio, best cost) and one ["sa.acceptance"] histogram
-    observation per temperature round, plus per-move accept/reject
-    tallies through the problem's registered {!Telemetry.Moves.t}.
-    Instrumentation draws nothing from the rng, so the walk is
-    bit-identical with telemetry on or off (tested); with the null sink
-    each hook is a single predictable branch. *)
+(** {2 In-place problems}
 
-(** {2 Stepwise chains}
-
-    The same walk, advanced one temperature round at a time so several
-    chains can be interleaved and coupled ({!Parallel} runs one chain
-    per seed across domains and exchanges bests at round boundaries).
-    The decomposition is exact: [run] is [start] followed by
-    [step_round] until [finished], so stepping a single chain to
-    completion reproduces [run] bit for bit (tested). *)
-
-type 'a chain
-
-val start :
-  ?telemetry:Telemetry.Sink.t -> rng:Prelude.Rng.t -> params -> 'a problem -> 'a chain
-(** Evaluate the initial state (and, when [initial_temperature] is
-    [None], estimate t0 from 64 random moves, consuming the same rng
-    draws [run] would). [telemetry] as in {!run}. *)
-
-val finished : 'a chain -> bool
-(** True once the round budget, final temperature, or freezing
-    criterion is reached. *)
-
-val step_round : 'a chain -> unit
-(** One temperature round ([moves_per_round] Metropolis steps followed
-    by one schedule update). No-op when [finished]. *)
-
-val best : 'a chain -> 'a
-
-val best_cost : 'a chain -> float
-
-val adopt : 'a chain -> state:'a -> cost:float -> unit
-(** Multi-start exchange: replace the chain's current and best state
-    when [cost] strictly improves on the chain's own best; no-op
-    otherwise — in particular, re-offering a chain its own best never
-    perturbs it, so a solo chain is exactly [run]. *)
-
-val outcome_of_chain : 'a chain -> 'a outcome
-(** Snapshot of the chain's progress so far. *)
-
-val estimate_t0 : rng:Prelude.Rng.t -> 'a problem -> samples:int -> float
-(** Standard deviation of the cost change over random moves, the usual
-    starting temperature heuristic. *)
-
-(** {2 In-place chains}
-
-    The engine above copies states; arena-backed placers want one
-    working state mutated in place. An {!mproblem} supplies [propose]
-    (mutate [state] into a candidate), [undo] (revert the {e last}
-    propose — called exactly once per rejected move, never twice in a
-    row), [cost] (evaluate [state] as it stands), and [copy]/[blit]
-    for best-so-far snapshots and multi-start exchange. Control flow
-    (Metropolis test, schedule, freezing) is identical to the
-    functional engine, so both share [params] and ['a outcome]. *)
+    An {!mproblem} supplies [propose] (mutate [state] into a
+    candidate), [undo] (revert the {e last} propose — called exactly
+    once per rejected move, never twice in a row), [cost] (evaluate
+    [state] as it stands), and [copy]/[blit] for best-so-far snapshots
+    and multi-start exchange. *)
 
 type 'a mproblem = {
   state : 'a;
@@ -110,45 +60,77 @@ type 'a mproblem = {
   blit : src:'a -> dst:'a -> unit;
 }
 
-val run_mutable :
-  ?telemetry:Telemetry.Sink.t ->
-  rng:Prelude.Rng.t ->
-  params ->
-  'a mproblem ->
-  'a outcome
-(** [mstart] followed by [mstep_round] to completion; the outcome's
-    [best] is a fresh [copy], independent of the working state.
-    [telemetry] as in {!run}. *)
+type 'a cell = { mutable current : 'a; mutable previous : 'a }
+(** The working state of an adapted functional problem: [current] is
+    the walk's state, [previous] the one [undo] restores. *)
 
-type 'a mchain
+val of_problem : 'a problem -> 'a cell mproblem
+(** The functional adapter: [propose] replaces [current] by a
+    neighbour and remembers the old value, [undo] restores it. The
+    rng draws (neighbour, then the acceptance test) come in the same
+    order as a walk that copies states, so persistent problems keep
+    their trajectories. *)
 
-val mstart :
-  ?telemetry:Telemetry.Sink.t -> rng:Prelude.Rng.t -> params -> 'a mproblem -> 'a mchain
-(** Like {!start}; the t0 estimate walks the working state and then
-    restores it through a snapshot. *)
+val estimate_t0 : rng:Prelude.Rng.t -> 'a mproblem -> samples:int -> float
+(** Standard deviation of the cost change over [samples] random moves,
+    the usual starting temperature heuristic; restores the working
+    state before returning. *)
 
-val mfinished : 'a mchain -> bool
-val mstep_round : 'a mchain -> unit
+(** {2 Chains}
 
-val mbest : 'a mchain -> 'a
+    The walk, advanced one temperature round at a time so several
+    chains can be interleaved and coupled ({!Parallel} runs one chain
+    per seed across domains and exchanges bests at round boundaries).
+    The decomposition is exact: {!finish} is {!step_round} until
+    {!finished}, so stepping a chain by hand reproduces it bit for
+    bit. *)
+
+type 'a chain
+
+val start :
+  ?telemetry:Telemetry.Sink.t -> rng:Prelude.Rng.t -> params -> 'a mproblem -> 'a chain
+(** Evaluate the initial state (and, when [initial_temperature] is
+    [None], estimate t0 from 64 random moves on [rng]).
+
+    [telemetry] (default {!Telemetry.Sink.null}) receives one
+    ["sa.round"] span, one convergence sample (round, temperature,
+    acceptance ratio, best cost) and one ["sa.acceptance"] histogram
+    observation per temperature round, plus per-move accept/reject
+    tallies through the problem's registered {!Telemetry.Moves.t}.
+    Instrumentation draws nothing from the rng, so the walk is
+    bit-identical with telemetry on or off (tested); with the null sink
+    each hook is a single predictable branch. *)
+
+val finished : 'a chain -> bool
+(** True once the round budget, final temperature, or freezing
+    criterion is reached. *)
+
+val step_round : 'a chain -> unit
+(** One temperature round ([moves_per_round] Metropolis steps followed
+    by one schedule update). No-op when [finished]. *)
+
+val best : 'a chain -> 'a
 (** The chain's internal best-snapshot buffer. Read-only: it is
     overwritten whenever the chain improves. *)
 
-val mbest_cost : 'a mchain -> float
+val best_cost : 'a chain -> float
 
-val mbest_copy : 'a mchain -> 'a
-(** A fresh [copy] of the best snapshot, safe to keep (or publish to
-    an {!Elite} pool) after the chain moves on. *)
+val adopt : 'a chain -> state:'a -> cost:float -> unit
+(** Multi-start exchange: when [cost] strictly improves on the chain's
+    best, [state] is blitted into both the working state and the best
+    snapshot; no-op otherwise. Strictness means re-offering a chain
+    its own {!best} never perturbs it (or aliases a blit), so a solo
+    chain is exactly {!finish}. *)
 
-val madopt : 'a mchain -> state:'a -> cost:float -> unit
-(** Multi-start exchange, as {!adopt}: when [cost] strictly improves on
-    the chain's best, [state] is blitted into both the working state
-    and the best snapshot. Strictness means offering a chain its own
-    {!mbest} buffer never aliases a blit. *)
+val outcome : 'a chain -> 'a outcome
+(** Snapshot of the chain's progress so far; [best] is a fresh [copy],
+    safe to keep (or publish to an {!Elite} pool) after the chain
+    moves on. *)
 
-val moutcome_of_chain : 'a mchain -> 'a outcome
-(** Snapshot of the chain's progress; [best] is a fresh [copy]. *)
+val finish : 'a chain -> 'a outcome
+(** Step the chain until {!finished}, then its {!outcome}. *)
 
-val estimate_mt0 : rng:Prelude.Rng.t -> 'a mproblem -> samples:int -> float
-(** {!estimate_t0} for in-place problems; restores the working state
-    before returning. *)
+val run :
+  ?telemetry:Telemetry.Sink.t -> rng:Prelude.Rng.t -> params -> 'a problem -> 'a outcome
+(** [start] on [of_problem problem], then [finish]; [best] is the
+    persistent state itself. [telemetry] as in {!start}. *)

@@ -164,116 +164,76 @@ let steps ~finished ~step k =
     decr budget
   done
 
-let sp_runner ~validate ?estimator ~weights ~groups ~params circuit tel seed =
-  let n = Netlist.Circuit.size circuit in
-  let rng = Prelude.Rng.create seed in
-  let problem =
-    Sa_seqpair.problem_of ~validate ?estimator ~weights ~groups circuit tel rng
-  in
+(* Every annealing entrant is one {!Anneal.Sa} chain; only the two
+   converters differ per engine: [placed_of] materializes a state,
+   [state_of] re-encodes a donated placement. Adoption re-costs the
+   re-encoded state with the chain's own evaluator. *)
+let anneal_runner ~params tel rng (problem : _ Anneal.Sa.mproblem) ~placed_of
+    ~state_of =
   let chain = Anneal.Sa.start ~telemetry:tel ~rng params problem in
+  let finished () = Anneal.Sa.finished chain in
   let extra = ref 0 in
   {
     r_step =
-      (fun k ->
-        steps k
-          ~finished:(fun () -> Anneal.Sa.finished chain)
-          ~step:(fun () -> Anneal.Sa.step_round chain));
-    r_finished = (fun () -> Anneal.Sa.finished chain);
+      (fun k -> steps k ~finished ~step:(fun () -> Anneal.Sa.step_round chain));
+    r_finished = finished;
     r_cost = (fun () -> Anneal.Sa.best_cost chain);
-    r_placed =
-      (fun () ->
-        (Sa_seqpair.evaluate circuit groups (Anneal.Sa.best chain))
-          .Placement.placed);
+    r_placed = (fun () -> placed_of (Anneal.Sa.best chain));
     r_adopt =
       (fun placed ->
-        let sp = sp_of_placed n placed in
-        let sp =
-          match groups with
-          | [] -> sp
-          | _ -> Seqpair.Symmetry.make_feasible sp groups
-        in
-        let rot = harmonize_rot groups (rot_of_placed circuit placed) in
-        let st = { Sa_seqpair.sp; rot } in
+        let st = state_of placed in
         incr extra;
         Anneal.Sa.adopt chain ~state:st ~cost:(problem.Anneal.Sa.cost st));
-    r_rounds = (fun () -> (Anneal.Sa.outcome_of_chain chain).Anneal.Sa.rounds);
+    r_rounds = (fun () -> (Anneal.Sa.outcome chain).Anneal.Sa.rounds);
     r_evaluated =
-      (fun () ->
-        (Anneal.Sa.outcome_of_chain chain).Anneal.Sa.evaluated + !extra);
+      (fun () -> (Anneal.Sa.outcome chain).Anneal.Sa.evaluated + !extra);
   }
 
-let bstar_runner ~validate ?estimator ~weights ~params circuit tel seed =
-  let rng = Prelude.Rng.create seed in
+let cell st = { Anneal.Sa.current = st; previous = st }
+
+let sp_runner ~validate ?estimator ~weights ~groups ~params circuit tel rng =
+  let n = Netlist.Circuit.size circuit in
+  anneal_runner ~params tel rng
+    (Anneal.Sa.of_problem
+       (Sa_seqpair.problem_of ~validate ?estimator ~weights ~groups circuit
+          tel rng))
+    ~placed_of:(fun c ->
+      (Sa_seqpair.evaluate circuit groups c.Anneal.Sa.current).Placement.placed)
+    ~state_of:(fun placed ->
+      let sp = sp_of_placed n placed in
+      let sp =
+        match groups with
+        | [] -> sp
+        | _ -> Seqpair.Symmetry.make_feasible sp groups
+      in
+      let rot = harmonize_rot groups (rot_of_placed circuit placed) in
+      cell { Sa_seqpair.sp; rot })
+
+let bstar_runner ~validate ?estimator ~weights ~params circuit tel rng =
   let tbl = Sa_bstar.dims_table circuit in
-  let problem =
-    Sa_bstar.problem_of ~validate ?estimator ~weights circuit tel rng
-  in
-  let chain = Anneal.Sa.mstart ~telemetry:tel ~rng params problem in
-  let extra = ref 0 in
-  {
-    r_step =
-      (fun k ->
-        steps k
-          ~finished:(fun () -> Anneal.Sa.mfinished chain)
-          ~step:(fun () -> Anneal.Sa.mstep_round chain));
-    r_finished = (fun () -> Anneal.Sa.mfinished chain);
-    r_cost = (fun () -> Anneal.Sa.mbest_cost chain);
-    r_placed =
-      (fun () ->
-        (Sa_bstar.evaluate circuit tbl (Anneal.Sa.mbest chain))
-          .Placement.placed);
-    r_adopt =
-      (fun placed ->
-        let st =
-          {
-            Sa_bstar.flat = Bstar.Flat.of_tree (tree_of_placed placed);
-            rot = rot_of_placed circuit placed;
-            last = Sa_bstar.L_none;
-          }
-        in
-        incr extra;
-        Anneal.Sa.madopt chain ~state:st ~cost:(problem.Anneal.Sa.cost st));
-    r_rounds =
-      (fun () -> (Anneal.Sa.moutcome_of_chain chain).Anneal.Sa.rounds);
-    r_evaluated =
-      (fun () ->
-        (Anneal.Sa.moutcome_of_chain chain).Anneal.Sa.evaluated + !extra);
-  }
+  anneal_runner ~params tel rng
+    (Sa_bstar.problem_of ~validate ?estimator ~weights circuit tel rng)
+    ~placed_of:(fun st -> (Sa_bstar.evaluate circuit tbl st).Placement.placed)
+    ~state_of:(fun placed ->
+      {
+        Sa_bstar.flat = Bstar.Flat.of_tree (tree_of_placed placed);
+        rot = rot_of_placed circuit placed;
+        last = Sa_bstar.L_none;
+      })
 
-let tcg_runner ~validate ?estimator ~weights ~params circuit tel seed =
+let tcg_runner ~validate ?estimator ~weights ~params circuit tel rng =
   let n = Netlist.Circuit.size circuit in
-  let rng = Prelude.Rng.create seed in
-  let problem =
-    Sa_tcg.problem_of ~validate ?estimator ~weights circuit tel rng
-  in
-  let chain = Anneal.Sa.start ~telemetry:tel ~rng params problem in
-  let extra = ref 0 in
-  {
-    r_step =
-      (fun k ->
-        steps k
-          ~finished:(fun () -> Anneal.Sa.finished chain)
-          ~step:(fun () -> Anneal.Sa.step_round chain));
-    r_finished = (fun () -> Anneal.Sa.finished chain);
-    r_cost = (fun () -> Anneal.Sa.best_cost chain);
-    r_placed =
-      (fun () ->
-        (Sa_tcg.evaluate circuit (Anneal.Sa.best chain)).Placement.placed);
-    r_adopt =
-      (fun placed ->
-        let st =
-          {
-            Sa_tcg.tcg = Seqpair.Tcg.of_seqpair (sp_of_placed n placed);
-            rot = rot_of_placed circuit placed;
-          }
-        in
-        incr extra;
-        Anneal.Sa.adopt chain ~state:st ~cost:(problem.Anneal.Sa.cost st));
-    r_rounds = (fun () -> (Anneal.Sa.outcome_of_chain chain).Anneal.Sa.rounds);
-    r_evaluated =
-      (fun () ->
-        (Anneal.Sa.outcome_of_chain chain).Anneal.Sa.evaluated + !extra);
-  }
+  anneal_runner ~params tel rng
+    (Anneal.Sa.of_problem
+       (Sa_tcg.problem_of ~validate ?estimator ~weights circuit tel rng))
+    ~placed_of:(fun c ->
+      (Sa_tcg.evaluate circuit c.Anneal.Sa.current).Placement.placed)
+    ~state_of:(fun placed ->
+      cell
+        {
+          Sa_tcg.tcg = Seqpair.Tcg.of_seqpair (sp_of_placed n placed);
+          rot = rot_of_placed circuit placed;
+        })
 
 (* The deterministic enumerator: one shot, no adoption (it cannot
    restart), publishes its result under the shared cost scale. *)
@@ -321,11 +281,7 @@ let race ?(weights = Cost.default) ?params ?(groups = []) ?pool ?workers
     ?(chains = 1) ?engines ?hierarchy ?bar ?(exchange_every = 32) ?validate
     ?(feasibility_check = false) ?outline ?estimator
     ?(telemetry = Telemetry.Sink.null) ~rng circuit =
-  let validate =
-    match validate with
-    | Some v -> v
-    | None -> Analysis.Invariant.enabled_from_env ()
-  in
+  let validate = Annealing.validate_or_env validate in
   let n = Netlist.Circuit.size circuit in
   if n = 0 then invalid_arg "Portfolio.race: empty circuit";
   if feasibility_check then begin
@@ -384,16 +340,17 @@ let race ?(weights = Cost.default) ?params ?(groups = []) ?pool ?workers
   in
   let runners =
     Array.init k (fun i ->
+        let rng = Prelude.Rng.create seeds.(i) in
         match spec.(i) with
         | Sp ->
             sp_runner ~validate ?estimator ~weights ~groups ~params circuit
-              tels.(i) seeds.(i)
+              tels.(i) rng
         | Bstar ->
             bstar_runner ~validate ?estimator ~weights ~params circuit tels.(i)
-              seeds.(i)
+              rng
         | Tcg ->
             tcg_runner ~validate ?estimator ~weights ~params circuit tels.(i)
-              seeds.(i)
+              rng
         | Esf -> (
             match hierarchy with
             | Some h -> esf_runner ~weights circuit h tels.(i)

@@ -14,7 +14,7 @@ type state = {
 
 and last_move = L_none | L_tree of Bstar.Flat.undo | L_rot of int
 
-type outcome = {
+type outcome = Annealing.outcome = {
   placement : Placement.t;
   cost : float;
   sa_rounds : int;
@@ -122,53 +122,8 @@ let problem_of ?(validate = false) ?estimator ~weights circuit telemetry rng =
 let place ?(weights = Cost.default) ?params ?workers ?chains
     ?(mode = `Deterministic) ?validate ?estimator
     ?(telemetry = Telemetry.Sink.null) ~rng circuit =
-  let validate =
-    match validate with
-    | Some v -> v
-    | None -> Analysis.Invariant.enabled_from_env ()
-  in
-  let n = Netlist.Circuit.size circuit in
   let tbl = dims_table circuit in
-  let params =
-    match params with Some p -> p | None -> Anneal.Sa.default_params ~n
-  in
-  match (workers, chains) with
-  | None, None ->
-      let result =
-        Anneal.Sa.run_mutable ~telemetry ~rng params
-          (problem_of ~validate ?estimator ~weights circuit telemetry rng)
-      in
-      {
-        placement = evaluate circuit tbl result.Anneal.Sa.best;
-        cost = result.Anneal.Sa.best_cost;
-        sa_rounds = result.Anneal.Sa.rounds;
-        evaluated = result.Anneal.Sa.evaluated;
-      }
-  | _ ->
-      let k =
-        match chains with
-        | Some k -> max 1 k
-        | None -> (
-            match workers with
-            | Some w -> max 1 w
-            | None -> Anneal.Parallel.default_workers ())
-      in
-      let seeds = List.init k (fun _ -> Prelude.Rng.int rng 0x3FFFFFFF) in
-      let check = if validate then Some (audit circuit tbl) else None in
-      let runner =
-        match mode with
-        | `Deterministic -> Anneal.Parallel.run_mutable
-        | `Async -> Anneal.Parallel.run_mutable_async
-      in
-      let result =
-        runner ?workers ?check ~telemetry ~engine:"bstar" ~seeds params
-          (problem_of ~validate ?estimator ~weights circuit)
-      in
-      {
-        placement = evaluate circuit tbl result.Anneal.Parallel.best;
-        cost = result.Anneal.Parallel.best_cost;
-        sa_rounds =
-          result.Anneal.Parallel.chains.(result.Anneal.Parallel.winner)
-            .Anneal.Sa.rounds;
-        evaluated = result.Anneal.Parallel.evaluated;
-      }
+  Annealing.place ~engine:"bstar" ~params ~workers ~chains ~mode ~validate
+    ~telemetry ~rng circuit ~audit:(audit circuit tbl)
+    ~evaluate:(evaluate circuit tbl)
+    (fun ~validate -> problem_of ~validate ?estimator ~weights circuit)

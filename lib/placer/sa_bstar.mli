@@ -16,11 +16,11 @@ type state = {
 
 and last_move = L_none | L_tree of Bstar.Flat.undo | L_rot of int
 
-type outcome = {
+type outcome = Annealing.outcome = {
   placement : Placement.t;
   cost : float;
-  sa_rounds : int;
-  evaluated : int;
+  sa_rounds : int;  (** rounds of the winning chain *)
+  evaluated : int;  (** total cost evaluations, all chains *)
 }
 
 val dims_table : Netlist.Circuit.t -> (int * int) array array
@@ -55,14 +55,12 @@ val place :
   rng:Prelude.Rng.t ->
   Netlist.Circuit.t ->
   outcome
-(** The annealer runs on flat-array trees ({!Bstar.Flat}) under the
-    in-place engine ({!Anneal.Sa.run_mutable}): O(1) perturbations,
-    O(1) undo of rejected moves, and allocation-free contour packing
-    through the {!Eval} arena ({!Eval.cost_bstar}). [workers]/[chains]
+(** The annealer runs on flat-array trees ({!Bstar.Flat}) as an
+    in-place {!Anneal.Sa.mproblem}: O(1) perturbations, O(1) undo of
+    rejected moves, and allocation-free contour packing through the
+    {!Eval} arena ({!Eval.cost_bstar}). [workers]/[chains]/[mode]
     enable {!Anneal.Parallel} multi-start annealing with the same
-    semantics as {!Sa_seqpair.place}, and [mode] selects the
-    deterministic barrier schedule or the free-running elite-pool
-    exchange ({!Anneal.Parallel.run_mutable_async}), as there.
+    semantics as {!Sa_seqpair.place}.
 
     [validate] (default: the [ANALOG_VALIDATE=1] environment switch,
     see {!Analysis.Invariant}) audits the flat tree

@@ -2,7 +2,7 @@ module G = Constraints.Symmetry_group
 
 type state = { sp : Seqpair.Sp.t; rot : bool array }
 
-type outcome = {
+type outcome = Annealing.outcome = {
   placement : Placement.t;
   cost : float;
   sa_rounds : int;
@@ -128,56 +128,10 @@ let problem_of ?(validate = false) ?estimator ~weights ~groups circuit telemetry
 let place ?(weights = Cost.default) ?params ?(groups = []) ?workers ?chains
     ?(mode = `Deterministic) ?validate ?estimator
     ?(telemetry = Telemetry.Sink.null) ~rng circuit =
-  let validate =
-    match validate with
-    | Some v -> v
-    | None -> Analysis.Invariant.enabled_from_env ()
-  in
-  let n = Netlist.Circuit.size circuit in
-  let params =
-    match params with Some p -> p | None -> Anneal.Sa.default_params ~n
-  in
-  match (workers, chains) with
-  | None, None ->
-      let problem =
-        problem_of ~validate ?estimator ~weights ~groups circuit telemetry rng
-      in
-      let result = Anneal.Sa.run ~telemetry ~rng params problem in
-      {
-        placement = evaluate circuit groups result.Anneal.Sa.best;
-        cost = result.Anneal.Sa.best_cost;
-        sa_rounds = result.Anneal.Sa.rounds;
-        evaluated = result.Anneal.Sa.evaluated;
-      }
-  | _ ->
-      let k =
-        match chains with
-        | Some k -> max 1 k
-        | None -> (
-            match workers with
-            | Some w -> max 1 w
-            | None -> Anneal.Parallel.default_workers ())
-      in
-      (* Seeds drawn from the caller's rng: deterministic for a fixed
-         seed, distinct streams per chain. *)
-      let seeds = List.init k (fun _ -> Prelude.Rng.int rng 0x3FFFFFFF) in
-      let check =
-        if validate then Some (audit ~groups circuit) else None
-      in
-      let runner =
-        match mode with
-        | `Deterministic -> Anneal.Parallel.run
-        | `Async -> Anneal.Parallel.run_async
-      in
-      let result =
-        runner ?workers ?check ~telemetry ~engine:"sp" ~seeds params
-          (problem_of ~validate ?estimator ~weights ~groups circuit)
-      in
-      {
-        placement = evaluate circuit groups result.Anneal.Parallel.best;
-        cost = result.Anneal.Parallel.best_cost;
-        sa_rounds =
-          result.Anneal.Parallel.chains.(result.Anneal.Parallel.winner)
-            .Anneal.Sa.rounds;
-        evaluated = result.Anneal.Parallel.evaluated;
-      }
+  Annealing.place ~engine:"sp" ~params ~workers ~chains ~mode ~validate
+    ~telemetry ~rng circuit
+    ~audit:(fun c -> audit ~groups circuit c.Anneal.Sa.current)
+    ~evaluate:(fun c -> evaluate circuit groups c.Anneal.Sa.current)
+    (fun ~validate tel rng ->
+      Anneal.Sa.of_problem
+        (problem_of ~validate ?estimator ~weights ~groups circuit tel rng))

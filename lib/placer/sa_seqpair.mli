@@ -15,7 +15,7 @@ type state = { sp : Seqpair.Sp.t; rot : bool array }
 (** One annealing state: a sequence-pair plus per-cell rotation flags.
     Exposed so {!Portfolio} can build and convert chain states. *)
 
-type outcome = {
+type outcome = Annealing.outcome = {
   placement : Placement.t;
   cost : float;
   sa_rounds : int;  (** rounds of the winning chain *)
@@ -33,8 +33,9 @@ val problem_of :
   state Anneal.Sa.problem
 (** One annealing problem for one chain: its own initial code drawn
     from [rng], its own {!Eval} arena, its own move tallies in the
-    given sink. This is what {!place} hands to {!Anneal.Parallel};
-    {!Portfolio} uses it to enter sequence-pair chains in a race.
+    given sink. {!place} runs it through {!Anneal.Sa.of_problem} and
+    {!Annealing.place}; {!Portfolio} uses it to enter sequence-pair
+    chains in a race.
     [estimator] is a factory for per-chain congestion estimators
     (called once here, so every chain owns its scratch — see
     {!Eval.estimator}); it only affects costs under a non-zero
@@ -73,18 +74,12 @@ val place :
     the circuit size. [estimator] makes the anneal routability-driven
     under a non-zero [weights.routability] — see {!problem_of}.
 
-    When [workers] or [chains] is given, runs {!Anneal.Parallel}
-    multi-start annealing: [chains] independent seeded chains (default
-    [workers], default {!Anneal.Parallel.default_workers}) spread over
-    [workers] domains with periodic best-exchange. Chain seeds are
-    drawn from [rng], so a fixed caller seed gives identical results
-    for any [workers] value. Without either parameter the classic
-    single-chain path runs on [rng] directly.
-
+    [workers]/[chains] enable {!Anneal.Parallel} multi-start
+    annealing as {!Annealing.place} describes; without either
+    parameter the classic single-chain path runs on [rng] directly.
     [mode] (default [`Deterministic]) selects the parallel exchange
     discipline: [`Deterministic] is the worker-count-invariant
-    barrier schedule above; [`Async] is
-    {!Anneal.Parallel.run_async} — free-running chains coupled
+    barrier schedule; [`Async] runs free-running chains coupled
     through an elite pool, faster on real cores but dependent on
     domain interleaving. Ignored on the single-chain path.
 

@@ -6,11 +6,11 @@ type state = { tcg : Seqpair.Tcg.t; rot : bool array }
 (** One annealing state. Exposed so {!Portfolio} can build and
     convert chain states. *)
 
-type outcome = {
+type outcome = Annealing.outcome = {
   placement : Placement.t;
   cost : float;
-  sa_rounds : int;
-  evaluated : int;
+  sa_rounds : int;  (** rounds of the winning chain *)
+  evaluated : int;  (** total cost evaluations, all chains *)
 }
 
 val problem_of :
@@ -44,9 +44,9 @@ val place :
   outcome
 (** [workers]/[chains]/[mode] enable {!Anneal.Parallel} multi-start
     annealing with the same semantics as {!Sa_seqpair.place} (the TCG
-    problem is functional, so chains exchange whole graphs); without
-    either parameter the classic single-chain path runs on [rng]
-    directly.
+    problem is functional and runs through {!Anneal.Sa.of_problem}, so
+    chains exchange whole graphs); without either parameter the
+    classic single-chain path runs on [rng] directly.
 
     [validate] (default: the [ANALOG_VALIDATE=1] environment switch)
     audits the packed placement after every SA move and at every

@@ -168,135 +168,3 @@ let write_file ~path content =
       in
       (try close_out oc with Sys_error _ -> ());
       r
-
-(* --- minimal JSON syntax checker ------------------------------------- *)
-
-exception Bad of string
-
-let check_json s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Bad (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let skip_ws () =
-    while
-      !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-    do
-      advance ()
-    done
-  in
-  let expect c =
-    match peek () with
-    | Some x when x = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected '%c'" c)
-  in
-  let is_hex c =
-    (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
-  in
-  let parse_string () =
-    expect '"';
-    let fin = ref false in
-    while not !fin do
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance (); fin := true
-      | Some '\\' -> (
-          advance ();
-          match peek () with
-          | Some ('"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't') -> advance ()
-          | Some 'u' ->
-              advance ();
-              for _ = 1 to 4 do
-                match peek () with
-                | Some c when is_hex c -> advance ()
-                | _ -> fail "bad \\u escape"
-              done
-          | _ -> fail "bad escape")
-      | Some c when Char.code c < 0x20 -> fail "control char in string"
-      | Some _ -> advance ()
-    done
-  in
-  let parse_number () =
-    let digits () =
-      let seen = ref false in
-      while (match peek () with Some c when c >= '0' && c <= '9' -> true | _ -> false) do
-        seen := true;
-        advance ()
-      done;
-      if not !seen then fail "expected digit"
-    in
-    (match peek () with Some '-' -> advance () | _ -> ());
-    (match peek () with
-    | Some '0' -> advance ()
-    | Some c when c >= '1' && c <= '9' -> digits ()
-    | _ -> fail "bad number");
-    (match peek () with
-    | Some '.' -> advance (); digits ()
-    | _ -> ());
-    match peek () with
-    | Some ('e' | 'E') ->
-        advance ();
-        (match peek () with Some ('+' | '-') -> advance () | _ -> ());
-        digits ()
-    | _ -> ()
-  in
-  let parse_lit lit =
-    String.iter
-      (fun c ->
-        match peek () with
-        | Some x when x = c -> advance ()
-        | _ -> fail (Printf.sprintf "expected %s" lit))
-      lit
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '"' -> parse_string ()
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then advance ()
-        else begin
-          let fin = ref false in
-          while not !fin do
-            skip_ws ();
-            parse_string ();
-            skip_ws ();
-            expect ':';
-            parse_value ();
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance ()
-            | Some '}' -> advance (); fin := true
-            | _ -> fail "expected ',' or '}'"
-          done
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then advance ()
-        else begin
-          let fin = ref false in
-          while not !fin do
-            parse_value ();
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance ()
-            | Some ']' -> advance (); fin := true
-            | _ -> fail "expected ',' or ']'"
-          done
-        end
-    | Some 't' -> parse_lit "true"
-    | Some 'f' -> parse_lit "false"
-    | Some 'n' -> parse_lit "null"
-    | Some ('-' | '0' .. '9') -> parse_number ()
-    | Some c -> fail (Printf.sprintf "unexpected '%c'" c)
-  in
-  try
-    parse_value ();
-    skip_ws ();
-    if !pos <> n then Error (Printf.sprintf "trailing garbage at offset %d" !pos)
-    else Ok ()
-  with Bad msg -> Error msg

@@ -28,9 +28,3 @@ val write_file : path:string -> string -> (unit, string) result
     directory, permission denied, disk full) come back as
     [Error strerror] instead of a raised [Sys_error], so CLI callers
     can report one clean line and pick an exit code. *)
-
-val check_json : string -> (unit, string) result
-(** Syntax-check a complete JSON document (RFC 8259 grammar; does not
-    decode escapes or build a tree). The environment has no JSON
-    library, and the test suite and CLI both want to assert that
-    {!chrome_json} output actually parses. *)

@@ -92,5 +92,9 @@ let quantile t q =
     let pts = ref [] in
     if t.zero > 0 then pts := (0.0, t.zero) :: !pts;
     Array.iteri (fun i c -> if c > 0 then pts := (repr i, c) :: !pts) t.counts;
-    Prelude.Stats.quantile_weighted !pts q
+    (* bucket representatives can lie outside the observed range (a
+       lone 1.1 reads back as 2^(1/4) = 1.19); no percentile may
+       report a value that was never reached *)
+    Float.min t.maxv
+      (Float.max t.minv (Prelude.Stats.quantile_weighted !pts q))
   end

@@ -35,8 +35,8 @@ val max_value : t -> float
 
 val quantile : t -> float -> float
 (** [quantile t q] — linearly interpolated quantile over the bucketed
-    distribution; within the bucket resolution of the exact sample
-    quantile. 0 when empty. *)
+    distribution, clamped to [[min_value t, max_value t]]; within the
+    bucket resolution of the exact sample quantile. 0 when empty. *)
 
 val merge : t -> t -> unit
 (** [merge dst src] adds [src]'s distribution into [dst]. Bucket-wise,

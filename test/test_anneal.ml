@@ -45,7 +45,9 @@ let test_sa_minimizes () =
 
 let test_estimate_t0 () =
   let rng = Prelude.Rng.create 5 in
-  let t0 = Anneal.Sa.estimate_t0 ~rng problem ~samples:50 in
+  let t0 =
+    Anneal.Sa.estimate_t0 ~rng (Anneal.Sa.of_problem problem) ~samples:50
+  in
   Alcotest.(check bool) "positive" true (t0 > 0.0)
 
 let test_deterministic () =
@@ -55,6 +57,13 @@ let test_deterministic () =
   in
   Alcotest.(check int) "same seed same best" (run ()) (run ())
 
+(* Each chain gets a fresh adapter cell: cells are mutable, so chains
+   must never share one. [best_of] reads the winner's state back. *)
+let adapted _ _ = Anneal.Sa.of_problem problem
+
+let best_of (o : _ Anneal.Parallel.outcome) =
+  o.Anneal.Parallel.best.Anneal.Sa.current
+
 let par_params =
   { (Anneal.Sa.default_params ~n:10) with Anneal.Sa.max_rounds = 120 }
 
@@ -63,9 +72,9 @@ let par_params =
 let test_parallel_solo_matches_run () =
   let seq = Anneal.Sa.run ~rng:(Prelude.Rng.create 17) par_params problem in
   let par =
-    Anneal.Parallel.run ~workers:1 ~seeds:[ 17 ] par_params (fun _ _ -> problem)
+    Anneal.Parallel.run ~workers:1 ~seeds:[ 17 ] par_params adapted
   in
-  Alcotest.(check int) "same best" seq.Anneal.Sa.best par.Anneal.Parallel.best;
+  Alcotest.(check int) "same best" seq.Anneal.Sa.best (best_of par);
   Alcotest.(check (float 0.0))
     "same cost" seq.Anneal.Sa.best_cost par.Anneal.Parallel.best_cost;
   Alcotest.(check int)
@@ -75,14 +84,13 @@ let test_parallel_solo_matches_run () =
 let test_parallel_worker_count_invariant () =
   let seeds = [ 3; 11; 42; 99 ] in
   let go workers =
-    Anneal.Parallel.run ~workers ~exchange_every:8 ~seeds par_params (fun _ _ ->
-        problem)
+    Anneal.Parallel.run ~workers ~exchange_every:8 ~seeds par_params adapted
   in
   let a = go 1 and b = go 2 and c = go 4 in
   Alcotest.(check int)
-    "1 vs 2 best" a.Anneal.Parallel.best b.Anneal.Parallel.best;
+    "1 vs 2 best" (best_of a) (best_of b);
   Alcotest.(check int)
-    "1 vs 4 best" a.Anneal.Parallel.best c.Anneal.Parallel.best;
+    "1 vs 4 best" (best_of a) (best_of c);
   Alcotest.(check (float 0.0))
     "1 vs 2 cost" a.Anneal.Parallel.best_cost b.Anneal.Parallel.best_cost;
   Alcotest.(check (float 0.0))
@@ -96,15 +104,14 @@ let test_parallel_worker_count_invariant () =
 let test_parallel_deterministic () =
   let go () =
     (Anneal.Parallel.run ~workers:2 ~exchange_every:8 ~seeds:[ 5; 6; 7 ]
-       par_params (fun _ _ -> problem))
+       par_params adapted)
       .Anneal.Parallel.best_cost
   in
   Alcotest.(check (float 0.0)) "same seeds same cost" (go ()) (go ())
 
 let test_parallel_multistart_minimizes () =
   let out =
-    Anneal.Parallel.run ~workers:2 ~seeds:[ 1; 2; 3 ] par_params (fun _ _ ->
-        problem)
+    Anneal.Parallel.run ~workers:2 ~seeds:[ 1; 2; 3 ] par_params adapted
   in
   Alcotest.(check bool)
     "found near-optimum" true
@@ -114,13 +121,15 @@ let test_parallel_multistart_minimizes () =
     (Array.length out.Anneal.Parallel.chains);
   Alcotest.(check bool) "winner is the argmin" true
     (Array.for_all
-       (fun (o : int Anneal.Sa.outcome) ->
+       (fun (o : int Anneal.Sa.cell Anneal.Sa.outcome) ->
          out.Anneal.Parallel.best_cost <= o.Anneal.Sa.best_cost)
        out.Anneal.Parallel.chains)
 
-(* The in-place engine on the same landscape: state is [| value; prev |]
-   so [undo] restores the pre-propose value. Draw-for-draw the same rng
-   consumption as [problem], so the two engines must agree exactly. *)
+(* A native in-place problem on the same landscape: state is
+   [| value; prev |] so [undo] restores the pre-propose value.
+   Draw-for-draw the same rng consumption as [problem], so the
+   [Sa.of_problem] adapter and this hand-written [mproblem] must agree
+   exactly. *)
 let mproblem () =
   {
     Anneal.Sa.state = [| 80; 80 |];
@@ -141,7 +150,8 @@ let mproblem () =
 let test_mutable_matches_functional () =
   let seq = Anneal.Sa.run ~rng:(Prelude.Rng.create 17) par_params problem in
   let m =
-    Anneal.Sa.run_mutable ~rng:(Prelude.Rng.create 17) par_params (mproblem ())
+    Anneal.Sa.finish
+      (Anneal.Sa.start ~rng:(Prelude.Rng.create 17) par_params (mproblem ()))
   in
   Alcotest.(check int) "same best" seq.Anneal.Sa.best m.Anneal.Sa.best.(0);
   Alcotest.(check (float 0.0))
@@ -155,15 +165,14 @@ let test_mutable_matches_functional () =
 let test_parallel_mutable_matches_functional () =
   let seeds = [ 3; 11; 42; 99 ] in
   let f =
-    Anneal.Parallel.run ~workers:2 ~exchange_every:8 ~seeds par_params
-      (fun _ _ -> problem)
+    Anneal.Parallel.run ~workers:2 ~exchange_every:8 ~seeds par_params adapted
   in
   let m =
-    Anneal.Parallel.run_mutable ~workers:2 ~exchange_every:8 ~seeds par_params
+    Anneal.Parallel.run ~workers:2 ~exchange_every:8 ~seeds par_params
       (fun _ _ -> mproblem ())
   in
   Alcotest.(check int)
-    "same best" f.Anneal.Parallel.best m.Anneal.Parallel.best.(0);
+    "same best" (best_of f) m.Anneal.Parallel.best.(0);
   Alcotest.(check (float 0.0))
     "same cost" f.Anneal.Parallel.best_cost m.Anneal.Parallel.best_cost;
   Alcotest.(check int) "same winner" f.Anneal.Parallel.winner
@@ -174,7 +183,7 @@ let test_parallel_mutable_matches_functional () =
 let test_parallel_mutable_worker_invariant () =
   let seeds = [ 3; 11; 42; 99 ] in
   let go workers =
-    Anneal.Parallel.run_mutable ~workers ~exchange_every:8 ~seeds par_params
+    Anneal.Parallel.run ~workers ~exchange_every:8 ~seeds par_params
       (fun _ _ -> mproblem ())
   in
   let a = go 1 and b = go 2 and c = go 4 in
@@ -203,11 +212,10 @@ let prop_parallel_worker_invariant =
         (int_range 2 5) (int_range 1 16))
     (fun (seeds, workers, exchange_every) ->
       let go workers =
-        Anneal.Parallel.run ~workers ~exchange_every ~seeds par_params
-          (fun _ _ -> problem)
+        Anneal.Parallel.run ~workers ~exchange_every ~seeds par_params adapted
       in
       let a = go 1 and b = go workers in
-      a.Anneal.Parallel.best = b.Anneal.Parallel.best
+      best_of a = best_of b
       && a.Anneal.Parallel.best_cost = b.Anneal.Parallel.best_cost
       && a.Anneal.Parallel.winner = b.Anneal.Parallel.winner
       && a.Anneal.Parallel.evaluated = b.Anneal.Parallel.evaluated)
@@ -223,8 +231,8 @@ let test_async_restarts_match_solo () =
       seeds
   in
   let out =
-    Anneal.Parallel.run_async ~workers:2 ~exchange_every:0 ~seeds par_params
-      (fun _ _ -> problem)
+    Anneal.Parallel.run ~mode:`Async ~workers:2 ~exchange_every:0 ~seeds
+      par_params adapted
   in
   let best_solo =
     List.fold_left
@@ -253,18 +261,19 @@ let test_async_restarts_match_solo () =
    must hold together under real domain parallelism. *)
 let test_async_exchange_sane () =
   let checks = Atomic.make 0 in
-  let check x =
+  let check c =
     Atomic.incr checks;
+    let x = c.Anneal.Sa.current in
     if x < -100 || x > 100 then failwith "state escaped the domain"
   in
   let out =
-    Anneal.Parallel.run_async ~workers:4 ~exchange_every:8 ~check
-      ~seeds:[ 3; 11; 42; 99 ] par_params
-      (fun _ _ -> problem)
+    Anneal.Parallel.run ~mode:`Async ~workers:4 ~exchange_every:8 ~check
+      ~seeds:[ 3; 11; 42; 99 ] par_params adapted
   in
   let chain_min =
     Array.fold_left
-      (fun acc (o : int Anneal.Sa.outcome) -> min acc o.Anneal.Sa.best_cost)
+      (fun acc (o : int Anneal.Sa.cell Anneal.Sa.outcome) ->
+        min acc o.Anneal.Sa.best_cost)
       infinity out.Anneal.Parallel.chains
   in
   Alcotest.(check (float 0.0))
@@ -281,9 +290,8 @@ let test_async_exchange_sane () =
    even with exchange on the race is a pure function of the seeds. *)
 let test_async_single_worker_deterministic () =
   let go () =
-    Anneal.Parallel.run_async ~workers:1 ~exchange_every:8 ~seeds:[ 5; 6; 7 ]
-      par_params
-      (fun _ _ -> problem)
+    Anneal.Parallel.run ~mode:`Async ~workers:1 ~exchange_every:8
+      ~seeds:[ 5; 6; 7 ] par_params adapted
   in
   let a = go () and b = go () in
   Alcotest.(check (float 0.0))
@@ -292,22 +300,21 @@ let test_async_single_worker_deterministic () =
   Alcotest.(check int)
     "same winner" a.Anneal.Parallel.winner b.Anneal.Parallel.winner
 
-(* The draw-equivalent mutable problem must agree with the functional
-   one in async mode too, where exchange publishes mbest_copy
-   snapshots instead of immutable states. *)
+(* The native problem must agree with the adapted one in async mode
+   too, where exchange publishes fresh outcome copies: array snapshots
+   on one side, adapter cells on the other. *)
 let test_async_mutable_matches_functional () =
   let seeds = [ 3; 11; 42; 99 ] in
   let f =
-    Anneal.Parallel.run_async ~workers:2 ~exchange_every:0 ~seeds par_params
-      (fun _ _ -> problem)
+    Anneal.Parallel.run ~mode:`Async ~workers:2 ~exchange_every:0 ~seeds
+      par_params adapted
   in
   let m =
-    Anneal.Parallel.run_mutable_async ~workers:2 ~exchange_every:0 ~seeds
-      par_params
-      (fun _ _ -> mproblem ())
+    Anneal.Parallel.run ~mode:`Async ~workers:2 ~exchange_every:0 ~seeds
+      par_params (fun _ _ -> mproblem ())
   in
   Alcotest.(check int)
-    "same best" f.Anneal.Parallel.best m.Anneal.Parallel.best.(0);
+    "same best" (best_of f) m.Anneal.Parallel.best.(0);
   Alcotest.(check (float 0.0))
     "same cost" f.Anneal.Parallel.best_cost m.Anneal.Parallel.best_cost;
   Alcotest.(check int)

@@ -586,6 +586,96 @@ let prop_slicing_moves_normalized =
       done;
       !ok)
 
+(* Golden values for the annealing callers the E18 ledger does not
+   cover: (best cost, rounds, evaluations) at fixed seeds on the Miller
+   OTA (n = 9, one symmetry group). Any change to the engine's draw
+   order, acceptance test or chain driver moves them. *)
+let golden_miller () =
+  let b = Netlist.Benchmarks.miller () in
+  ( b.Netlist.Benchmarks.circuit,
+    b.Netlist.Benchmarks.hierarchy,
+    Constraints.Symmetry_group.of_hierarchy b.Netlist.Benchmarks.hierarchy )
+
+let check_golden name (cost, rounds, evaluated) (cost', rounds', evaluated') =
+  Alcotest.(check (float 0.0)) (name ^ " cost") cost cost';
+  Alcotest.(check int) (name ^ " rounds") rounds rounds';
+  Alcotest.(check int) (name ^ " evaluated") evaluated evaluated'
+
+let of_annealed (o : Placer.Annealing.outcome) =
+  (o.Placer.Annealing.cost, o.Placer.Annealing.sa_rounds,
+   o.Placer.Annealing.evaluated)
+
+let test_golden_tcg () =
+  let c, _, _ = golden_miller () in
+  check_golden "single chain" (0x1.dfb856ccccccdp+23, 500, 36000)
+    (of_annealed (Placer.Sa_tcg.place ~rng:(Prelude.Rng.create 3) c));
+  check_golden "async, 1 worker" (0x1.d4574a6666666p+23, 490, 71208)
+    (of_annealed
+       (Placer.Sa_tcg.place ~workers:1 ~chains:2 ~mode:`Async
+          ~rng:(Prelude.Rng.create 3) c))
+
+let test_golden_seqpair_chains () =
+  let c, _, groups = golden_miller () in
+  check_golden "deterministic" (0x1.e0d0053333333p+23, 495, 71640)
+    (of_annealed
+       (Placer.Sa_seqpair.place ~groups ~workers:1 ~chains:2
+          ~rng:(Prelude.Rng.create 3) c));
+  (* one worker runs the free-running chains in seed order, so the
+     race is a pure function of the seed *)
+  check_golden "async, 1 worker" (0x1.c965d3999999ap+23, 500, 71640)
+    (of_annealed
+       (Placer.Sa_seqpair.place ~groups ~workers:1 ~chains:2 ~mode:`Async
+          ~rng:(Prelude.Rng.create 3) c))
+
+let test_golden_bstar_chains () =
+  let c, _, _ = golden_miller () in
+  check_golden "deterministic" (0x1.c697df3333333p+23, 493, 70560)
+    (of_annealed
+       (Placer.Sa_bstar.place ~workers:1 ~chains:2 ~rng:(Prelude.Rng.create 3)
+          c))
+
+let test_golden_slicing () =
+  let c, _, _ = golden_miller () in
+  let o = Placer.Slicing.place ~rng:(Prelude.Rng.create 3) c in
+  check_golden "slicing" (0x1.cf7fbf3333333p+23, 263, 18936)
+    (o.Placer.Slicing.cost, o.Placer.Slicing.sa_rounds,
+     o.Placer.Slicing.evaluated)
+
+let test_golden_absolute () =
+  let c, _, _ = golden_miller () in
+  let o = Placer.Sa_absolute.place ~rng:(Prelude.Rng.create 3) c in
+  check_golden "absolute" (0x1.d99c92p+23, 463, 33336)
+    (o.Placer.Sa_absolute.cost, o.Placer.Sa_absolute.sa_rounds,
+     o.Placer.Sa_absolute.evaluated)
+
+let test_golden_hbstar () =
+  let c, h, _ = golden_miller () in
+  let o = Bstar.Hbstar.place ~rng:(Prelude.Rng.create 3) c h in
+  Alcotest.(check int) "area" 19521120 o.Bstar.Hbstar.area;
+  Alcotest.(check (float 0.0)) "hpwl" 0x1.e92p+13 o.Bstar.Hbstar.hpwl;
+  Alcotest.(check int) "rounds" 487 o.Bstar.Hbstar.sa_rounds
+
+(* Sizing.Flow reports no best cost or rounds; the evaluation count and
+   the best design's power (plus layout area) pin the walk instead. *)
+let test_golden_sizing () =
+  let run mode = Sizing.Flow.run ~rng:(Prelude.Rng.create 3) mode in
+  let power f =
+    Option.value ~default:nan
+      (Sizing.Spec.value f.Sizing.Flow.perf_nominal "power_mw")
+  in
+  let e = run Sizing.Flow.Electrical_only in
+  Alcotest.(check int) "electrical evaluations" 16650 e.Sizing.Flow.evaluations;
+  Alcotest.(check (float 0.0))
+    "electrical power" 0x1.1d07473523e15p-4 (power e);
+  let l = run Sizing.Flow.Layout_aware in
+  Alcotest.(check int)
+    "layout-aware evaluations" 16650 l.Sizing.Flow.evaluations;
+  Alcotest.(check (float 0.0))
+    "layout-aware power" 0x1.24bef50a0b8p-4 (power l);
+  Alcotest.(check (float 0.0))
+    "layout-aware area" 0x1.7ed07fcb923a3p+9
+    l.Sizing.Flow.layout.Sizing.Template.area_um2
+
 let () =
   Alcotest.run "placer"
     [
@@ -650,4 +740,14 @@ let () =
             prop_compact_never_grows;
             prop_absolute_legalizes;
           ] );
+      ( "golden",
+        [
+          Alcotest.test_case "tcg" `Quick test_golden_tcg;
+          Alcotest.test_case "seqpair chains" `Quick test_golden_seqpair_chains;
+          Alcotest.test_case "bstar chains" `Quick test_golden_bstar_chains;
+          Alcotest.test_case "slicing" `Quick test_golden_slicing;
+          Alcotest.test_case "absolute" `Quick test_golden_absolute;
+          Alcotest.test_case "hbstar" `Quick test_golden_hbstar;
+          Alcotest.test_case "sizing flow" `Quick test_golden_sizing;
+        ] );
     ]

@@ -84,6 +84,29 @@ let test_hist_stats () =
   Alcotest.(check int) "zero bucket counted" 5 (T.Hist.count h);
   Alcotest.(check (float 1e-9)) "zero is min" 0.0 (T.Hist.min_value h)
 
+(* Bucket representatives can fall outside the observed range: 1.25
+   reads back as 2^(1/4) = 1.19 and 1.1 as 1.19 too. Every quantile
+   must stay within [min, max]; a single observation is exact. *)
+let test_hist_quantile_clamped () =
+  let one = T.Hist.make "one" in
+  T.Hist.observe one 1.25;
+  List.iter
+    (fun q ->
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "single observation, q=%g" q)
+        1.25 (T.Hist.quantile one q))
+    [ 0.0; 0.5; 0.99; 1.0 ];
+  let skewed = T.Hist.make "skewed" in
+  observe_all skewed (List.init 3 (fun _ -> 0.5) @ List.init 97 (fun _ -> 1.1));
+  List.iter
+    (fun q ->
+      let v = T.Hist.quantile skewed q in
+      Alcotest.(check bool)
+        (Printf.sprintf "skewed q=%g: %g within [0.5, 1.1]" q v)
+        true
+        (v >= 0.5 && v <= 1.1))
+    [ 0.0; 0.01; 0.5; 0.9; 0.99; 1.0 ]
+
 let test_hist_merge_associative () =
   let mk vs =
     let h = T.Hist.make "h" in
@@ -145,10 +168,8 @@ let test_sink_spans () =
 (* ---- exporters ----------------------------------------------------- *)
 
 let test_check_json () =
-  let ok s = Alcotest.(check bool) s true (Result.is_ok (T.Export.check_json s)) in
-  let bad s =
-    Alcotest.(check bool) s false (Result.is_ok (T.Export.check_json s))
-  in
+  let ok s = Alcotest.(check bool) s true (Result.is_ok (T.Json.parse s)) in
+  let bad s = Alcotest.(check bool) s false (Result.is_ok (T.Json.parse s)) in
   ok {|{"a":[1,2.5,-3e2],"b":"x\ny","c":{},"d":[],"e":null,"f":true}|};
   ok {|[ ]|};
   ok {|"just a string"|};
@@ -172,8 +193,8 @@ let populated_sink () =
 let test_chrome_json_roundtrip () =
   let s = populated_sink () in
   let json = T.Export.chrome_json s in
-  (match T.Export.check_json json with
-  | Ok () -> ()
+  (match T.Json.parse json with
+  | Ok _ -> ()
   | Error e -> Alcotest.failf "chrome trace does not parse: %s\n%s" e json);
   Alcotest.(check bool) "has X span" true (contains json {|"ph":"X"|});
   Alcotest.(check bool) "has C sample" true (contains json {|"ph":"C"|});
@@ -375,6 +396,8 @@ let () =
       ( "hist",
         [
           Alcotest.test_case "stats" `Quick test_hist_stats;
+          Alcotest.test_case "quantiles within min/max" `Quick
+            test_hist_quantile_clamped;
           Alcotest.test_case "merge associative" `Quick
             test_hist_merge_associative;
           QCheck_alcotest.to_alcotest prop_hist_quantile_monotone;
