@@ -964,6 +964,55 @@ let perf ?(smoke = false) () =
     ns;
   Buffer.add_string buf "  ],\n";
   hr ();
+  (* constrained SP move throughput on the paper's circuits: arena SA
+     moves with the recognized symmetry groups (S-F moves, symmetric
+     packer) against the same circuit unconstrained (free moves,
+     FAST-SP). The ratio is what symmetry costs per move. *)
+  Printf.printf "%-14s %4s | %16s %16s %9s\n" "circuit" "n" "constrained/s"
+    "unconstrained/s" "slowdown";
+  hr ();
+  Buffer.add_string buf "  \"sp_sym_moves\": [\n";
+  let suite = Netlist.Benchmarks.table1_suite () in
+  let suite_last = List.length suite - 1 in
+  List.iteri
+    (fun i (b : Netlist.Benchmarks.bench) ->
+      let c = b.Netlist.Benchmarks.circuit in
+      let n = Netlist.Circuit.size c in
+      let groups =
+        Constraints.Symmetry_group.of_hierarchy b.Netlist.Benchmarks.hierarchy
+      in
+      let rot = Array.make n false in
+      let moves ~groups neighbor init =
+        let arena = Placer.Eval.create c in
+        let rng = Prelude.Rng.create 46 in
+        let sp = ref (init rng) in
+        fun () ->
+          sp := neighbor rng !sp;
+          ignore (Placer.Eval.cost_seqpair arena weights ~groups !sp ~rot)
+      in
+      let r_sym =
+        time_ops
+          (moves ~groups
+             (fun rng sp -> Seqpair.Moves.random_neighbor_sf rng sp groups)
+             (fun rng -> Seqpair.Symmetry.random_feasible rng ~n groups))
+      in
+      let r_free =
+        time_ops
+          (moves ~groups:[] Seqpair.Moves.random_neighbor (fun rng ->
+               Seqpair.Sp.random rng n))
+      in
+      Printf.printf "%-14s %4d | %16.0f %16.0f %8.1fx\n"
+        b.Netlist.Benchmarks.label n r_sym r_free (r_free /. r_sym);
+      Printf.bprintf buf
+        "    {\"circuit\": \"%s\", \"n\": %d, \"groups\": %d, \
+         \"constrained_moves_per_s\": %.0f, \"unconstrained_moves_per_s\": \
+         %.0f, \"slowdown\": %.2f}%s\n"
+        b.Netlist.Benchmarks.label n (List.length groups) r_sym r_free
+        (r_free /. r_sym)
+        (if i = suite_last then "" else ","))
+    suite;
+  Buffer.add_string buf "  ],\n";
+  hr ();
   (* B*-tree SA move throughput: the pointer-tree list path (perturb a
      persistent tree, pack to a fresh list, build a Placement, walk the
      nets) against the flat-array tree + contour-scratch arena *)

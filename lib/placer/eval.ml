@@ -23,12 +23,16 @@ type t = {
   cx2 : int array;  (* doubled centers for HPWL *)
   cy2 : int array;
   scratch : Seqpair.Pack.scratch;
+  sym : Seqpair.Symmetry.scratch Lazy.t;  (* made on the first symmetric pack *)
   contour : Geometry.Contour.scratch;  (* B*-tree packing profile *)
   nets : Netlist.Wirelength.flat;
   estimator : estimator option;  (* congestion term for [finish] *)
   tel : Telemetry.Sink.t;
   evals : Telemetry.Counter.t;  (* pre-resolved handles; dead when off *)
   bstar_packs : Telemetry.Counter.t;
+  sp_packs : Telemetry.Counter.t;  (* the scratch's counters, for the symmetric branch *)
+  sp_cells : Telemetry.Counter.t;
+  sym_fallbacks : Telemetry.Counter.t;
   mutable last_w : int;  (* extents of the last evaluated packing *)
   mutable last_h : int;
   mutable last_hpwl : float;
@@ -54,12 +58,16 @@ let create ?(telemetry = Telemetry.Sink.null) ?estimator circuit =
     cx2 = Array.make (max 1 n) 0;
     cy2 = Array.make (max 1 n) 0;
     scratch = Seqpair.Pack.scratch ~telemetry (max 1 n);
+    sym = lazy (Seqpair.Symmetry.scratch n);
     contour = Geometry.Contour.scratch ((2 * max 1 n) + 1);
     nets = Netlist.Wirelength.flatten circuit.Netlist.Circuit.nets;
     estimator;
     tel = telemetry;
     evals = Telemetry.Sink.counter telemetry "eval.costs";
     bstar_packs = Telemetry.Sink.counter telemetry "bstar.packs";
+    sp_packs = Telemetry.Sink.counter telemetry "seqpair.packs";
+    sp_cells = Telemetry.Sink.counter telemetry "seqpair.cells";
+    sym_fallbacks = Telemetry.Sink.counter telemetry "symmetry.fallback";
     last_w = 0;
     last_h = 0;
     last_hpwl = 0.0;
@@ -123,8 +131,11 @@ let cost_seqpair t weights ?(groups = []) sp ~rot =
       set_rotation t rot;
       Seqpair.Pack.pack_fast_into t.scratch sp ~w:t.w ~h:t.h ~x:t.x ~y:t.y
   | _ -> (
+      Telemetry.Counter.incr t.sp_packs;
+      Telemetry.Counter.add t.sp_cells t.n;
       match
-        Seqpair.Symmetry.pack_symmetric_into ~x:t.x ~y:t.y ~w:t.w ~h:t.h sp
+        Seqpair.Symmetry.pack_symmetric_into ~scratch:(Lazy.force t.sym)
+          ~fallbacks:t.sym_fallbacks ~x:t.x ~y:t.y ~w:t.w ~h:t.h sp
           (dims_of t rot) groups
       with
       | Ok () -> ()

@@ -130,369 +130,846 @@ let axis2_of placed (g : group) =
 exception Infeasible of string
 exception Diverged
 
-(* Minimal coupled packing: longest-path lower bounds alternating with
-   per-group axis lifting. Allows free cells to interleave with group
-   cells, but the monotone iteration cannot inject slack on the left
-   cells, so certain cross-pair chains make the axis grow without
-   bound; those raise [Diverged] and the caller falls back to
-   symmetry-island segregation.
+(* Axes grow geometrically on some diverging codes and would wrap
+   around 63-bit integers well before the x cap. An axis beyond this
+   limit (a layout 10^18 grid units wide) counts as divergence: every
+   coordinate is then at most the largest axis plus the summed widths,
+   so no sum the packer forms can overflow. *)
+let coord_limit = max_int / 8
 
-   The [_into] core writes coordinates (and possibly parity-padded
-   widths) into caller buffers and returns the cells placed on the
-   right-hand side of their axis, so the annealing arena can evaluate
-   symmetric packings without materializing placement lists. *)
-let pack_coupled_into ~x ~y ~w ~h sp dims groups =
+(* Reusable workspace of the packer. Cell-indexed arrays are sized
+   once; the group tables are flattened per pack: group [gi] owns the
+   pairs [pstart.(gi) .. pstart.(gi+1) - 1] and the self-symmetric
+   cells [sstart.(gi) .. sstart.(gi+1) - 1], so its members occupy
+   [2 * pstart.(gi) + sstart.(gi) ..] of [members] once bucketed. *)
+type tables = {
+  pstart : int array;  (* group-indexed, one extra slot *)
+  sstart : int array;
+  axis2 : int array;  (* doubled axis of each group *)
+  cursor : int array;  (* bucketing cursor, then "island placed" flag *)
+  iw : int array;  (* island extents *)
+  ih : int array;
+  ibeta : int array;  (* first beta position of the group *)
+  hist : int array;  (* axes after each of the last [2 max_period + 1] passes *)
+  asnap : int array;  (* divergence certificate: axes at the period start, *)
+  adelta : int array;  (* their step over one period, *)
+  aslope : int array;  (* and their slope along the orbit *)
+}
+
+type watch = Watching | Measuring | Verifying
+
+type scratch = {
+  capacity : int;
+  bit : Bit.t;  (* prefix maxima over beta positions *)
+  alpha : int array;  (* cells in alpha order *)
+  apos : int array;  (* cell -> alpha position *)
+  bpos : int array;  (* cell -> beta position, the Fenwick index *)
+  dw : int array;  (* unpadded dimensions *)
+  dh : int array;
+  group_of : int array;  (* cell -> group index, -1 for free cells *)
+  pl : int array;  (* pairs oriented left/right *)
+  pr : int array;
+  pa : int array;  (* the same pairs as listed *)
+  pb : int array;
+  sf : int array;  (* self-symmetric cells *)
+  members : int array;  (* group members, bucketed by group *)
+  iota : int array;  (* identity order of the reduced code *)
+  reduced : int array;  (* reduced code: free cell c or island n + gi *)
+  rbpos : int array;
+  rx : int array;
+  ry : int array;
+  rw : int array;
+  rh : int array;
+  spos : int array;  (* cell -> sweep index *)
+  succ_start : int array;  (* sweep index -> its first immediate successor *)
+  succ : int array;  (* immediate successors, as sweep indices *)
+  dirty : bool array;  (* sweep indices whose out-edges may be violated *)
+  mutable dmin : int;  (* every dirty index lies in [dmin, dmax] *)
+  mutable dmax : int;
+  slope : int array;  (* divergence certificate, cell-indexed: slopes, *)
+  tops : int array;  (* the largest slope offered to each cell, *)
+  snap : int array;  (* coordinates at the period start, *)
+  delta : int array;  (* and their step over one period *)
+  mutable need : int;  (* [offer] accumulator: the largest term, *)
+  mutable need_slope : int;  (* its slope (the larger on ties), *)
+  mutable need_top : int;  (* and the largest slope of any term *)
+  mutable certified : bool;
+  mutable watch : watch;
+  mutable period : int;
+  mutable left : int;  (* passes left in the current stage *)
+  mutable next_try : int;
+  mutable gap : int;
+  indeg : int array;  (* y-cycle test: in-degrees of pairs, *)
+  ready : int array;  (* and the stack of pairs with none left *)
+  mutable tables : tables;
+}
+
+(* Longest period of linear x divergence the certificate looks for. *)
+let max_period = 8
+
+let tables groups =
+  let a () = Array.make (groups + 1) 0 in
+  {
+    hist = Array.make (((2 * max_period) + 1) * (groups + 1)) 0;
+    asnap = a ();
+    adelta = a ();
+    aslope = a ();
+    pstart = a ();
+    sstart = a ();
+    axis2 = a ();
+    cursor = a ();
+    iw = a ();
+    ih = a ();
+    ibeta = a ();
+  }
+
+(* Edge budget of the immediate-successor lists of [len] cells: about
+   the work of one Fenwick sweep, 2 len log2 len. *)
+let max_edges len =
+  let log2 = ref 1 in
+  while 1 lsl !log2 < len do
+    incr log2
+  done;
+  2 * len * !log2
+
+let scratch capacity =
+  let capacity = max 1 capacity in
+  let a () = Array.make capacity 0 in
+  {
+    capacity;
+    bit = Bit.create capacity;
+    alpha = a ();
+    apos = a ();
+    bpos = a ();
+    dw = a ();
+    dh = a ();
+    group_of = a ();
+    pl = a ();
+    pr = a ();
+    pa = a ();
+    pb = a ();
+    sf = a ();
+    members = a ();
+    iota = Array.init capacity Fun.id;
+    reduced = a ();
+    rbpos = a ();
+    rx = a ();
+    ry = a ();
+    rw = a ();
+    rh = a ();
+    spos = a ();
+    succ_start = Array.make (capacity + 1) 0;
+    succ = Array.make (max_edges capacity) 0;
+    dirty = Array.make capacity false;
+    dmin = max_int;
+    dmax = -1;
+    slope = a ();
+    tops = a ();
+    snap = a ();
+    delta = a ();
+    need = 0;
+    need_slope = 0;
+    need_top = 0;
+    certified = false;
+    watch = Watching;
+    period = 0;
+    left = 0;
+    next_try = 0;
+    gap = 0;
+    indeg = a ();
+    ready = a ();
+    tables = tables 8;
+  }
+
+(* Check the code and the groups, fill dimensions (self-symmetric widths
+   padded to their group's parity, so an exact integer axis exists) and
+   flatten the groups into the scratch tables. Returns the group count.
+   Errors are raised in the order the groups and pairs are listed. *)
+let prepare s ~w ~h sp dims groups =
   let n = Sp.size sp in
-  begin
-    if not (is_feasible_all sp groups) then
-      raise (Infeasible "sequence-pair is not symmetric-feasible");
-    for c = 0 to n - 1 do
-      let cw, ch = dims c in
-      w.(c) <- cw;
-      h.(c) <- ch
-    done;
-    Array.fill x 0 n 0;
-    Array.fill y 0 n 0;
-    (* Validate matched pair dimensions and orient pairs left/right. *)
-    let oriented_pairs =
-      List.map
-        (fun (g : group) ->
-          let pairs =
-            List.map
-              (fun (a, b) ->
-                if w.(a) <> w.(b) || h.(a) <> h.(b) then
-                  raise
-                    (Infeasible
-                       (Printf.sprintf "pair (%d,%d) dimension mismatch" a b));
-                match Sp.relation sp a b with
-                | Sp.Left_of -> (a, b)
-                | Sp.Right_of -> (b, a)
-                | Sp.Below | Sp.Above ->
-                    raise
-                      (Infeasible
-                         (Printf.sprintf
-                            "pair (%d,%d) vertically related; not S-F" a b)))
-              g.G.pairs
+  if not (is_feasible_all sp groups) then
+    raise (Infeasible "sequence-pair is not symmetric-feasible");
+  for c = 0 to n - 1 do
+    let cw, ch = dims c in
+    s.dw.(c) <- cw;
+    s.dh.(c) <- ch;
+    w.(c) <- cw;
+    h.(c) <- ch;
+    s.alpha.(c) <- Perm.cell_at sp.Sp.alpha c;
+    s.apos.(c) <- Perm.pos_of sp.Sp.alpha c;
+    s.bpos.(c) <- Perm.pos_of sp.Sp.beta c;
+    s.group_of.(c) <- -1
+  done;
+  let ng = List.length groups in
+  if ng >= Array.length s.tables.pstart then s.tables <- tables (2 * ng);
+  let t = s.tables in
+  let claim gi c =
+    if s.group_of.(c) >= 0 then
+      raise
+        (Infeasible (Printf.sprintf "cell %d is in two symmetry groups" c));
+    s.group_of.(c) <- gi
+  in
+  let p = ref 0 in
+  List.iteri
+    (fun gi (g : group) ->
+      t.pstart.(gi) <- !p;
+      List.iter
+        (fun (a, b) ->
+          claim gi a;
+          claim gi b;
+          if w.(a) <> w.(b) || h.(a) <> h.(b) then
+            raise
+              (Infeasible (Printf.sprintf "pair (%d,%d) dimension mismatch" a b));
+          let l, r =
+            match Sp.relation sp a b with
+            | Sp.Left_of -> (a, b)
+            | Sp.Right_of -> (b, a)
+            | Sp.Below | Sp.Above ->
+                raise
+                  (Infeasible
+                     (Printf.sprintf "pair (%d,%d) vertically related; not S-F"
+                        a b))
           in
-          (g, pairs))
-        groups
-    in
-    (* Pad self-symmetric widths to a common parity per group so an
-       exact integer axis exists. *)
-    List.iter
-      (fun (g : group) ->
-        match g.G.selfs with
-        | [] -> ()
-        | first :: rest ->
-            let parity = w.(first) land 1 in
-            List.iter
-              (fun f -> if w.(f) land 1 <> parity then w.(f) <- w.(f) + 1)
-              rest)
-      groups;
-    let self_parity (g : group) =
-      match g.G.selfs with [] -> None | f :: _ -> Some (w.(f) land 1)
-    in
-    (* Precompute the left-of and below predecessor lists. *)
-    let alpha_order = Array.init n (Perm.cell_at sp.Sp.alpha) in
-    let bpos c = Perm.pos_of sp.Sp.beta c in
-    (* Longest-path pass respecting current values; true if anything
-       rose. *)
-    let propagate coord extent order =
-      let changed = ref false in
-      let len = Array.length order in
-      for pos = 0 to len - 1 do
-        let b = order.(pos) in
-        for pos_a = 0 to pos - 1 do
-          let a = order.(pos_a) in
-          if bpos a < bpos b then begin
-            let need = coord.(a) + extent.(a) in
-            if coord.(b) < need then begin
-              coord.(b) <- need;
-              changed := true
-            end
-          end
-        done
-      done;
-      !changed
-    in
-    let rev_alpha_order = Array.init n (fun i -> alpha_order.(n - 1 - i)) in
-    let axis2 = Array.make (List.length groups) 0 in
-    let lift_x () =
-      let changed = ref false in
-      List.iteri
-        (fun gi ((g : group), pairs) ->
-          let need = ref axis2.(gi) in
-          List.iter
-            (fun (l, r) -> need := max !need (x.(l) + x.(r) + w.(l)))
-            pairs;
-          List.iter
-            (fun f -> need := max !need ((2 * x.(f)) + w.(f)))
-            g.G.selfs;
-          (match self_parity g with
-          | Some p when !need land 1 <> p -> incr need
-          | Some _ | None -> ());
-          if !need > axis2.(gi) then axis2.(gi) <- !need;
-          let a2 = axis2.(gi) in
-          List.iter
-            (fun (l, r) ->
-              let v = a2 - x.(l) - w.(l) in
-              if v <> x.(r) then begin
-                (* v >= x.(r) by construction of a2 *)
-                x.(r) <- v;
-                changed := true
-              end)
-            pairs;
+          s.pa.(!p) <- a;
+          s.pb.(!p) <- b;
+          s.pl.(!p) <- l;
+          s.pr.(!p) <- r;
+          incr p)
+        g.G.pairs)
+    groups;
+  t.pstart.(ng) <- !p;
+  let k = ref 0 in
+  List.iteri
+    (fun gi (g : group) ->
+      t.sstart.(gi) <- !k;
+      match g.G.selfs with
+      | [] -> ()
+      | first :: _ ->
+          let parity = w.(first) land 1 in
           List.iter
             (fun f ->
-              let v = (a2 - w.(f)) / 2 in
-              if v <> x.(f) then begin
-                x.(f) <- v;
-                changed := true
-              end)
+              claim gi f;
+              if w.(f) land 1 <> parity then w.(f) <- w.(f) + 1;
+              s.sf.(!k) <- f;
+              incr k)
             g.G.selfs)
-        oriented_pairs;
-      !changed
-    in
-    let lift_y () =
-      let changed = ref false in
-      List.iter
-        (fun ((_ : group), pairs) ->
-          List.iter
-            (fun (l, r) ->
-              let m = max y.(l) y.(r) in
-              if y.(l) <> m || y.(r) <> m then begin
-                y.(l) <- m;
-                y.(r) <- m;
-                changed := true
-              end)
-            pairs)
-        oriented_pairs;
-      !changed
-    in
-    let max_iter = (10 * (n + List.length groups)) + 20 in
-    let rec fix pass iter =
-      if iter > max_iter then raise Diverged
-      else begin
-        let p = pass () in
-        if p then fix pass (iter + 1)
-      end
-    in
-    fix
-      (fun () ->
-        let a = propagate x w alpha_order in
-        let b = lift_x () in
-        a || b)
-      0;
-    fix
-      (fun () ->
-        let a = propagate y h rev_alpha_order in
-        let b = lift_y () in
-        a || b)
-      0;
-    List.concat_map (fun (_, pairs) -> List.map snd pairs) oriented_pairs
+    groups;
+  t.sstart.(ng) <- !k;
+  ng
+
+(* The cell at sweep index [t] of [order.(lo .. hi-1)]: alpha order for
+   the left-of (x) sweeps, reverse alpha order for the below (y)
+   sweeps. Either way a cell's predecessors are the cells earlier in
+   the sweep with a smaller beta position. *)
+let at order lo hi ~rev t = order.(if rev then lo + hi - 1 - t else t)
+
+(* One longest-path sweep: each cell rises to the largest
+   [coord + extent] over its predecessors, values already raised in
+   this sweep included. That maximum is a prefix maximum over beta
+   positions, kept in the Fenwick tree exactly as FAST-SP does
+   ({!Pack.pack_fast_into}), so a pass costs O(len log n) instead of
+   the O(len^2) double loop. True if anything rose. *)
+let propagate bit bp order lo hi ~rev coord extent =
+  Bit.clear bit;
+  let changed = ref false in
+  for t = lo to hi - 1 do
+    let b = at order lo hi ~rev t in
+    let p = bp.(b) in
+    let need = Bit.prefix_max bit (p - 1) in
+    if coord.(b) < need then begin
+      coord.(b) <- need;
+      changed := true
+    end;
+    Bit.update bit p (coord.(b) + extent.(b))
+  done;
+  !changed
+
+(* Sweep indices whose out-edges a lift may have violated. *)
+let mark s c =
+  let t = s.spos.(c) in
+  s.dirty.(t) <- true;
+  if t < s.dmin then s.dmin <- t;
+  if t > s.dmax then s.dmax <- t
+
+let clear_dirty s =
+  for t = s.dmin to s.dmax do
+    s.dirty.(t) <- false
+  done;
+  s.dmin <- max_int;
+  s.dmax <- -1
+
+(* Immediate successors of every sweep index: the later cells with a
+   larger beta position and no such cell in between -- the transitive
+   reduction of the sweep's order, about n ln n edges on random codes.
+   False, and pushes are not used, if some extent is negative (only
+   non-negative extents make an implied edge never bind harder than its
+   path of immediate edges), the extents sum past [coord_limit], or the
+   reduction is so dense that a push could cost more than a Fenwick
+   sweep (up to n^2 / 4 edges on some codes). *)
+let build_successors s order lo hi ~rev extent =
+  let ok = ref true and total = ref 0 and len = ref 0 in
+  let cap = max_edges (hi - lo) in
+  let t = ref lo in
+  while !ok && !t < hi do
+    s.succ_start.(!t) <- !len;
+    let a = at order lo hi ~rev !t in
+    if extent.(a) < 0 || extent.(a) > coord_limit - !total then ok := false
+    else total := !total + extent.(a);
+    let pa = s.bpos.(a) in
+    let bound = ref max_int and u = ref (!t + 1) in
+    while !ok && !u < hi && !bound > pa + 1 do
+      let pb = s.bpos.(at order lo hi ~rev !u) in
+      if pb > pa && pb < !bound then
+        if !len = cap then ok := false
+        else begin
+          s.succ.(!len) <- !u;
+          incr len;
+          bound := pb
+        end;
+      incr u
+    done;
+    incr t
+  done;
+  s.succ_start.(hi) <- !len;
+  !ok
+
+(* The closure [propagate] computes, done incrementally: when every
+   constraint holds except those out of the dirty sweep indices,
+   pushing along immediate successors in sweep order raises exactly the
+   cells the full sweep raises, to the same values, so [changed] and
+   every coordinate agree with it. Costs the raised cells' out-degrees
+   instead of a full O(len log n) sweep. With [track] (every index
+   dirty) it also carries slopes for the divergence certificate: each
+   cell takes the slope of its largest term, and the certificate fails
+   if any term offered to it has a larger one. *)
+let push s order lo hi ~rev ~track coord extent =
+  let changed = ref false in
+  let t = ref s.dmin and last = ref s.dmax in
+  while !t <= !last do
+    if s.dirty.(!t) then begin
+      s.dirty.(!t) <- false;
+      let a = at order lo hi ~rev !t in
+      let v = coord.(a) + extent.(a) and sa = s.slope.(a) in
+      if track && s.tops.(a) > sa then s.certified <- false;
+      for e = s.succ_start.(!t) to s.succ_start.(!t + 1) - 1 do
+        let u = s.succ.(e) in
+        let b = at order lo hi ~rev u in
+        if coord.(b) < v then begin
+          coord.(b) <- v;
+          changed := true;
+          s.dirty.(u) <- true;
+          if u > !last then last := u;
+          if track then s.slope.(b) <- sa
+        end
+        else if track && coord.(b) = v && sa > s.slope.(b) then
+          s.slope.(b) <- sa;
+        if track && sa > s.tops.(b) then s.tops.(b) <- sa
+      done
+    end;
+    incr t
+  done;
+  s.dmin <- max_int;
+  s.dmax <- -1;
+  !changed
+
+(* Raise each group's doubled axis to what its cells need (rounded to
+   the self-symmetric parity), then move right pair cells and
+   self-symmetric cells onto it. Slopes ride along for the divergence
+   certificate and mean something only while it [track]s them. *)
+let offer s v slope =
+  if v > s.need then begin
+    s.need <- v;
+    s.need_slope <- slope
   end
+  else if v = s.need && slope > s.need_slope then s.need_slope <- slope;
+  if slope > s.need_top then s.need_top <- slope
 
-let pack_coupled sp dims groups =
-  let n = Sp.size sp in
-  let x = Array.make n 0 and y = Array.make n 0 in
-  let w = Array.make n 0 and h = Array.make n 0 in
-  let right_cells = pack_coupled_into ~x ~y ~w ~h sp dims groups in
-  List.init n (fun c ->
-      let orient =
-        if List.mem c right_cells then Orientation.MY else Orientation.R0
+let lift_x s ~track ~x ~w g0 g1 =
+  let t = s.tables in
+  let changed = ref false in
+  for gi = g0 to g1 - 1 do
+    let p0 = t.pstart.(gi) and p1 = t.pstart.(gi + 1) in
+    let s0 = t.sstart.(gi) and s1 = t.sstart.(gi + 1) in
+    s.need <- t.axis2.(gi);
+    s.need_slope <- t.aslope.(gi);
+    s.need_top <- t.aslope.(gi);
+    for k = p0 to p1 - 1 do
+      let l = s.pl.(k) and r = s.pr.(k) in
+      offer s (x.(l) + x.(r) + w.(l)) (s.slope.(l) + s.slope.(r))
+    done;
+    for k = s0 to s1 - 1 do
+      let f = s.sf.(k) in
+      offer s ((2 * x.(f)) + w.(f)) (2 * s.slope.(f))
+    done;
+    let sa = s.need_slope in
+    (* parity rounding stays affine only under an even slope *)
+    if track && (s.need_top > sa || (s1 > s0 && sa land 1 <> 0)) then
+      s.certified <- false;
+    if s1 > s0 && s.need land 1 <> w.(s.sf.(s0)) land 1 then
+      s.need <- s.need + 1;
+    let a2 = s.need in
+    if a2 > coord_limit then raise Diverged;
+    t.axis2.(gi) <- a2;
+    t.aslope.(gi) <- sa;
+    for k = p0 to p1 - 1 do
+      let l = s.pl.(k) and r = s.pr.(k) in
+      let v = a2 - x.(l) - w.(l) in
+      s.slope.(r) <- sa - s.slope.(l);
+      if v <> x.(r) then begin
+        (* v >= x.(r) by construction of a2 *)
+        x.(r) <- v;
+        mark s r;
+        changed := true
+      end
+    done;
+    for k = s0 to s1 - 1 do
+      let f = s.sf.(k) in
+      let v = (a2 - w.(f)) / 2 in
+      s.slope.(f) <- sa / 2;
+      if v <> x.(f) then begin
+        x.(f) <- v;
+        mark s f;
+        changed := true
+      end
+    done
+  done;
+  !changed
+
+(* Put both cells of each pair on the higher one's row. *)
+let lift_y s ~y p0 p1 =
+  let changed = ref false in
+  for k = p0 to p1 - 1 do
+    let l = s.pl.(k) and r = s.pr.(k) in
+    if y.(l) < y.(r) then begin
+      y.(l) <- y.(r);
+      mark s l;
+      changed := true
+    end
+    else if y.(r) < y.(l) then begin
+      y.(r) <- y.(l);
+      mark s r;
+      changed := true
+    end
+  done;
+  !changed
+
+(* Repeat [pass] until it changes nothing; [Diverged] once [limit]
+   passes in a row have all changed something. *)
+let converge limit pass =
+  let rec go k = if k >= limit then raise Diverged else if pass () then go (k + 1) in
+  go 0
+
+(* The x phase's divergence certificate. Most x runs that reach the
+   cap diverge linearly: after a transient, every [p] passes add the
+   same step D to the axes and coordinates. A pass is a composition of
+   maxima of affine terms, so along the ray S + j D (j >= 0) it is
+   affine as long as, in every maximum, the largest term also has the
+   largest slope: such a term stays largest for every j. When the axes
+   repeat a step twice, the watch records the state S and, one period
+   later, D; it then runs the next period tracking slopes from D. If
+   every maximum passed that test (the self-symmetric parity rounding
+   needs an even slope), every pass changed something and the period
+   ends at S + 2 D with slopes D again, the orbit is S + j D forever.
+   Each pass then keeps changing (a rise whose slope is no smaller than
+   its cell's never closes), so the capped loop could only end in
+   [Diverged], and it is raised at once. A failed attempt retries after
+   a doubling gap. The passes themselves are the ordinary ones. *)
+let watch_start s =
+  s.watch <- Watching;
+  s.next_try <- (2 * max_period) + 1;
+  s.gap <- 8
+
+let snapshot s order lo hi g0 g1 coord =
+  for k = lo to hi - 1 do
+    let c = order.(k) in
+    s.snap.(c) <- coord.(c)
+  done;
+  Array.blit s.tables.axis2 g0 s.tables.asnap g0 (g1 - g0)
+
+(* The axes after pass [k], group [i], from the ring of recent passes. *)
+let slot ng k i = ((k mod ((2 * max_period) + 1)) * ng) + i
+
+(* The axes moved by the same nonzero step over the last two periods. *)
+let periodic s ng k p =
+  let hist k i = s.tables.hist.(slot ng k i) in
+  let moved = ref false and same = ref true in
+  for i = 0 to ng - 1 do
+    let d = hist k i - hist (k - p) i in
+    if d <> 0 then moved := true;
+    if d <> hist (k - p) i - hist (k - (2 * p)) i then same := false
+  done;
+  !moved && !same
+
+(* The verified period ended at S + 2 D with slopes D. *)
+let stepped s order lo hi g0 g1 coord =
+  let t = s.tables in
+  let ok = ref true in
+  for k = lo to hi - 1 do
+    let c = order.(k) in
+    if coord.(c) - s.snap.(c) <> s.delta.(c) || s.slope.(c) <> s.delta.(c)
+    then ok := false
+  done;
+  for gi = g0 to g1 - 1 do
+    if t.axis2.(gi) - t.asnap.(gi) <> t.adelta.(gi)
+       || t.aslope.(gi) <> t.adelta.(gi)
+    then ok := false
+  done;
+  !ok
+
+let give_up s pass =
+  s.watch <- Watching;
+  s.next_try <- pass + s.gap;
+  s.gap <- 2 * s.gap
+
+(* Called after every x pass: record the axes and advance the watch. *)
+let watch_pass s order lo hi g0 g1 coord ~pass ~changed =
+  let t = s.tables and ng = g1 - g0 in
+  for i = 0 to ng - 1 do
+    t.hist.(slot ng pass i) <- t.axis2.(g0 + i)
+  done;
+  match s.watch with
+  | Watching ->
+      if pass >= s.next_try then begin
+        let p = ref 1 in
+        while !p <= max_period && not (periodic s ng pass !p) do
+          incr p
+        done;
+        if !p <= max_period then begin
+          snapshot s order lo hi g0 g1 coord;
+          s.watch <- Measuring;
+          s.period <- !p;
+          s.left <- !p
+        end
+      end
+  | Measuring ->
+      s.left <- s.left - 1;
+      if s.left = 0 then begin
+        for k = lo to hi - 1 do
+          let c = order.(k) in
+          s.delta.(c) <- coord.(c) - s.snap.(c);
+          s.slope.(c) <- s.delta.(c)
+        done;
+        for gi = g0 to g1 - 1 do
+          t.adelta.(gi) <- t.axis2.(gi) - t.asnap.(gi);
+          t.aslope.(gi) <- t.adelta.(gi)
+        done;
+        snapshot s order lo hi g0 g1 coord;
+        s.certified <- true;
+        s.watch <- Verifying;
+        s.left <- s.period
+      end
+  | Verifying ->
+      s.left <- s.left - 1;
+      if not (changed && s.certified) then give_up s pass
+      else if s.left = 0 then
+        if stepped s order lo hi g0 g1 coord then raise Diverged
+        else give_up s pass
+
+let mark_all s lo hi =
+  for t = lo to hi - 1 do
+    s.dirty.(t) <- true
+  done;
+  s.dmin <- lo;
+  s.dmax <- hi - 1
+
+(* One phase of the coupled fixpoint: passes of a longest-path closure
+   followed by [lift], at most [limit] of them changing. The closure is
+   pushed along immediate successors: the first pass from every cell,
+   later ones only from the cells the last lift raised, since a lift
+   only raises cells and so only their out-edges can be violated.
+   Diverging runs change a handful of cells per pass, so this is where
+   their time went. Where the successor lists are not usable, each
+   pass is a Fenwick sweep instead. The x phase ([watch]) also runs the
+   divergence certificate, whose tracked passes push from every cell so
+   that every maximum is seen. *)
+let phase s order lo hi ~rev ~limit ~watch g0 g1 coord extent lift =
+  clear_dirty s;
+  let incremental = build_successors s order lo hi ~rev extent in
+  for t = lo to hi - 1 do
+    s.spos.(at order lo hi ~rev t) <- t
+  done;
+  if incremental then mark_all s lo hi;
+  let watch = watch && incremental in
+  if watch then watch_start s;
+  let pass = ref 0 in
+  converge limit (fun () ->
+      incr pass;
+      let track = watch && s.watch = Verifying in
+      if track then begin
+        mark_all s lo hi;
+        for k = lo to hi - 1 do
+          s.tops.(order.(k)) <- s.slope.(order.(k))
+        done
+      end;
+      let a =
+        if incremental then push s order lo hi ~rev ~track coord extent
+        else begin
+          clear_dirty s;
+          propagate s.bit s.bpos order lo hi ~rev coord extent
+        end
       in
-      (* widths may have been padded; place with the padded size *)
-      {
-        Transform.cell = c;
-        rect = Rect.make ~x:x.(c) ~y:y.(c) ~w:w.(c) ~h:h.(c);
-        orient;
-      })
+      let b = lift ~track in
+      let changed = a || b in
+      if watch then watch_pass s order lo hi g0 g1 coord ~pass:!pass ~changed;
+      changed)
 
-(* Terminal fallback for one group: rows of mirrored pairs around a
-   column of self-symmetric cells — always symmetric and overlap-free,
-   never minimal. *)
-let stacked_island dims (g : group) =
-  let pad w = w + (w land 1) in
-  let max_self_w =
-    List.fold_left (fun acc f -> max acc (pad (fst (dims f)))) 0 g.G.selfs
+(* Whether the y phase of pairs [p0 .. p1-1] diverges, decided without
+   iterating: it diverges exactly when its difference constraints have
+   a positive cycle (see [coupled]). "Below" is a strict order
+   (transitive), so chains of below-edges through other cells contract
+   to single below-edges; with positive heights a positive cycle is then
+   exactly a cycle in the graph on pairs "some cell of pair i is below
+   some cell of pair j" (a pair's own cells are never vertically
+   related). Kahn's algorithm finds one in O(P^2). A zero or negative
+   height on a pair cell leaves the answer to the iteration (false). *)
+let y_diverges s ~h p0 p1 =
+  let below a b = s.apos.(a) > s.apos.(b) && s.bpos.(a) < s.bpos.(b) in
+  let edge i j =
+    let li = s.pl.(i) and ri = s.pr.(i) and lj = s.pl.(j) and rj = s.pr.(j) in
+    below li lj || below li rj || below ri lj || below ri rj
   in
-  let max_pair_w =
-    List.fold_left (fun acc (a, _) -> max acc (fst (dims a))) 0 g.G.pairs
-  in
+  let positive = ref true in
+  for i = p0 to p1 - 1 do
+    if h.(s.pl.(i)) <= 0 || h.(s.pr.(i)) <= 0 then positive := false
+  done;
+  !positive
+  && begin
+       let top = ref 0 in
+       for j = p0 to p1 - 1 do
+         let d = ref 0 in
+         for i = p0 to p1 - 1 do
+           if i <> j && edge i j then incr d
+         done;
+         s.indeg.(j - p0) <- !d;
+         if !d = 0 then begin
+           s.ready.(!top) <- j;
+           incr top
+         end
+       done;
+       let removed = ref 0 in
+       while !top > 0 do
+         decr top;
+         let i = s.ready.(!top) in
+         incr removed;
+         for j = p0 to p1 - 1 do
+           if i <> j && edge i j then begin
+             let d = s.indeg.(j - p0) - 1 in
+             s.indeg.(j - p0) <- d;
+             if d = 0 then begin
+               s.ready.(!top) <- j;
+               incr top
+             end
+           end
+         done
+       done;
+       !removed < p1 - p0
+     end
+
+(* Minimal coupled packing of the cells [order.(lo .. hi-1)] (in alpha
+   order) under groups [g0 .. g1-1]: longest-path lower bounds
+   alternating with per-group axis lifting, [w]/[h] already filled.
+   Free cells may interleave with group cells, but the monotone
+   iteration cannot inject slack on the left cells, so certain
+   cross-pair chains make the axis grow without bound; those raise
+   [Diverged] and the caller falls back to symmetry-island segregation.
+
+   The two phases share no state (y, h and the pairs for y; x, w and
+   the axes for x), so their order changes no coordinate and the
+   outcome is Diverged if either diverges. y divergence is decided
+   first ([y_diverges]), then x runs, then y. The y phase is a pure
+   difference-constraint system: each below-edge a -> b has weight
+   h(a) > 0 and each pair is two edges of weight 0 (y(l) = y(r)).
+   Starting from 0, every update stays below the least solution if one
+   exists. A pass relaxes all below-edges in topological order (reverse
+   alpha) and then every pair edge once, so after pass k every path
+   with fewer than k pair edges is realized. A simple path uses each of
+   the P pairs at most once, hence a least solution is reached within
+   P + 1 changing passes; a pass P + 2 that still changes proves a
+   positive cycle, i.e. divergence. That bound stays as the safety net
+   behind [y_diverges]. The x phase also lifts axes with parity
+   rounding, has no bound of that kind and keeps the historical cap of
+   10 (cells + groups) + 21 passes (converged x runs take over a
+   hundred passes on the larger Table-I circuits), with the
+   linear-divergence certificate ([watch_pass]) in front of it. *)
+let coupled s ~x ~y ~w ~h order lo hi g0 g1 =
+  for k = lo to hi - 1 do
+    let c = order.(k) in
+    x.(c) <- 0;
+    y.(c) <- 0
+  done;
+  let t = s.tables in
+  Array.fill t.axis2 g0 (g1 - g0) 0;
+  let p0 = t.pstart.(g0) and p1 = t.pstart.(g1) in
+  if y_diverges s ~h p0 p1 then raise Diverged;
+  phase s order lo hi ~rev:false
+    ~limit:((10 * (hi - lo + g1 - g0)) + 21)
+    ~watch:true g0 g1 x w
+    (fun ~track -> lift_x s ~track ~x ~w g0 g1);
+  phase s order lo hi ~rev:true ~limit:(p1 - p0 + 2) ~watch:false g0 g1 y h
+    (fun ~track:_ -> lift_y s ~y p0 p1)
+
+(* Terminal fallback for one group: rows of mirrored pairs (in listed
+   order) around a column of self-symmetric cells padded to even widths
+   -- always symmetric and overlap-free, never minimal. *)
+let stacked s ~x ~y ~w ~h gi =
+  let t = s.tables in
+  let p0 = t.pstart.(gi) and p1 = t.pstart.(gi + 1) in
+  let s0 = t.sstart.(gi) and s1 = t.sstart.(gi + 1) in
+  let pad v = v + (v land 1) in
+  let max_self_w = ref 0 and max_pair_w = ref 0 in
+  for k = s0 to s1 - 1 do
+    max_self_w := Int.max !max_self_w (pad s.dw.(s.sf.(k)))
+  done;
+  for k = p0 to p1 - 1 do
+    max_pair_w := Int.max !max_pair_w s.dw.(s.pa.(k))
+  done;
   (* axis2 is even: selfs are padded to even widths *)
-  let axis = max ((max_self_w + 1) / 2) max_pair_w in
-  let y = ref 0 in
-  let pairs =
-    List.concat_map
-      (fun (l, r) ->
-        let w, h = dims l in
-        let row_y = !y in
-        y := !y + h;
-        [
-          {
-            Transform.cell = l;
-            rect = Rect.make ~x:(axis - w) ~y:row_y ~w ~h;
-            orient = Orientation.MY;
-          };
-          {
-            Transform.cell = r;
-            rect = Rect.make ~x:axis ~y:row_y ~w ~h;
-            orient = Orientation.R0;
-          };
-        ])
-      g.G.pairs
+  let axis = Int.max ((!max_self_w + 1) / 2) !max_pair_w in
+  let row = ref 0 in
+  let put c ~cx ~cw ~ch =
+    x.(c) <- cx;
+    y.(c) <- !row;
+    w.(c) <- cw;
+    h.(c) <- ch
   in
-  let selfs =
-    List.map
-      (fun f ->
-        let w, h = dims f in
-        let w = pad w in
-        let row_y = !y in
-        y := !y + h;
-        {
-          Transform.cell = f;
-          rect = Rect.make ~x:(axis - (w / 2)) ~y:row_y ~w ~h;
-          orient = Orientation.R0;
-        })
-      g.G.selfs
-  in
-  pairs @ selfs
+  for k = p0 to p1 - 1 do
+    let a = s.pa.(k) in
+    let cw = s.dw.(a) and ch = s.dh.(a) in
+    put a ~cx:(axis - cw) ~cw ~ch;
+    put s.pb.(k) ~cx:axis ~cw ~ch;
+    row := !row + ch
+  done;
+  for k = s0 to s1 - 1 do
+    let f = s.sf.(k) in
+    let cw = pad s.dw.(f) and ch = s.dh.(f) in
+    put f ~cx:(axis - (cw / 2)) ~cw ~ch;
+    row := !row + ch
+  done
 
 (* Segregated fallback: each group packed as a symmetry island from its
    own sub-sequence-pair, then the reduced sequence-pair (islands as
-   super-cells) packed normally. Loses free-cell interleaving inside
-   island bounding boxes, keeps everything else. *)
-let pack_segregated sp dims groups =
+   super-cells at their group's first occurrence in each sequence)
+   packed FAST-SP style. Loses free-cell interleaving inside island
+   bounding boxes, keeps everything else. The sub-codes need no
+   relabelling: restricting the alpha order and comparing global beta
+   positions orders the cells exactly as the restricted code would. *)
+let segregate s ~x ~y ~w ~h n ng =
+  let t = s.tables in
+  let first gi = (2 * t.pstart.(gi)) + t.sstart.(gi) in
+  for gi = 0 to ng - 1 do
+    t.cursor.(gi) <- first gi;
+    t.ibeta.(gi) <- n
+  done;
+  for k = 0 to n - 1 do
+    let c = s.alpha.(k) in
+    let gi = s.group_of.(c) in
+    if gi >= 0 then begin
+      s.members.(t.cursor.(gi)) <- c;
+      t.cursor.(gi) <- t.cursor.(gi) + 1;
+      t.ibeta.(gi) <- Int.min t.ibeta.(gi) s.bpos.(c)
+    end
+  done;
+  (* 1. islands, normalized to the origin *)
+  for gi = 0 to ng - 1 do
+    let lo = first gi and hi = first (gi + 1) in
+    (match coupled s ~x ~y ~w ~h s.members lo hi gi (gi + 1) with
+    | () -> ()
+    | exception Diverged -> stacked s ~x ~y ~w ~h gi);
+    let x0 = ref max_int and y0 = ref max_int in
+    let x1 = ref min_int and y1 = ref min_int in
+    for k = lo to hi - 1 do
+      let c = s.members.(k) in
+      x0 := Int.min !x0 x.(c);
+      y0 := Int.min !y0 y.(c);
+      x1 := Int.max !x1 (x.(c) + w.(c));
+      y1 := Int.max !y1 (y.(c) + h.(c))
+    done;
+    for k = lo to hi - 1 do
+      let c = s.members.(k) in
+      x.(c) <- x.(c) - !x0;
+      y.(c) <- y.(c) - !y0
+    done;
+    t.iw.(gi) <- (if hi > lo then !x1 - !x0 else 0);
+    t.ih.(gi) <- (if hi > lo then !y1 - !y0 else 0);
+    t.cursor.(gi) <- 0
+  done;
+  (* 2. the reduced code in alpha order *)
+  let len = ref 0 in
+  let add item ~bp ~iw ~ih =
+    s.reduced.(!len) <- item;
+    s.rbpos.(!len) <- bp;
+    s.rw.(!len) <- iw;
+    s.rh.(!len) <- ih;
+    s.rx.(!len) <- 0;
+    s.ry.(!len) <- 0;
+    incr len
+  in
+  for k = 0 to n - 1 do
+    let c = s.alpha.(k) in
+    let gi = s.group_of.(c) in
+    if gi < 0 then add c ~bp:s.bpos.(c) ~iw:s.dw.(c) ~ih:s.dh.(c)
+    else if t.cursor.(gi) = 0 then begin
+      t.cursor.(gi) <- 1;
+      add (n + gi) ~bp:t.ibeta.(gi) ~iw:t.iw.(gi) ~ih:t.ih.(gi)
+    end
+  done;
+  let len = !len in
+  ignore (propagate s.bit s.rbpos s.iota 0 len ~rev:false s.rx s.rw : bool);
+  ignore (propagate s.bit s.rbpos s.iota 0 len ~rev:true s.ry s.rh : bool);
+  (* 3. free cells take their slot (dimensions unchanged), islands are
+     translated into theirs *)
+  for i = 0 to len - 1 do
+    let item = s.reduced.(i) in
+    if item < n then begin
+      x.(item) <- s.rx.(i);
+      y.(item) <- s.ry.(i)
+    end
+    else
+      let gi = item - n in
+      for k = first gi to first (gi + 1) - 1 do
+        let c = s.members.(k) in
+        x.(c) <- x.(c) + s.rx.(i);
+        y.(c) <- y.(c) + s.ry.(i)
+      done
+  done
+
+let pack_symmetric_into ?scratch:s ?(fallbacks = Telemetry.Counter.null) ~x ~y
+    ~w ~h sp dims groups =
   let n = Sp.size sp in
-  let group_of = Array.make n None in
-  List.iteri
-    (fun gi g -> List.iter (fun m -> group_of.(m) <- Some gi) (G.members g))
-    groups;
-  (* 1. per-group islands from the restricted sequence-pair *)
-  let islands =
-    List.map
-      (fun (g : group) ->
-        let members =
-          List.filter (fun c -> G.mem g c) (Perm.to_list sp.Sp.alpha)
-        in
-        let local_of = Hashtbl.create 8 in
-        List.iteri (fun i c -> Hashtbl.replace local_of c i) members;
-        let local c = Hashtbl.find local_of c in
-        let to_perm order =
-          Perm.of_array
-            (Array.of_list (List.map local (List.filter (G.mem g) order)))
-        in
-        let mini_sp =
-          Sp.make
-            ~alpha:(to_perm (Perm.to_list sp.Sp.alpha))
-            ~beta:(to_perm (Perm.to_list sp.Sp.beta))
-        in
-        let members_arr = Array.of_list members in
-        let mini_dims i = dims members_arr.(i) in
-        let mini_g =
-          G.make ~name:g.G.name
-            ~pairs:(List.map (fun (a, b) -> (local a, local b)) g.G.pairs)
-            ~selfs:(List.map local g.G.selfs) ()
-        in
-        let local_placed =
-          match pack_coupled mini_sp mini_dims [ mini_g ] with
-          | placed -> placed
-          | exception Diverged -> stacked_island mini_dims mini_g
-        in
-        (* back to global cell ids, normalized to the origin *)
-        let placed =
-          List.map
-            (fun (p : Transform.placed) ->
-              { p with Transform.cell = members_arr.(p.Transform.cell) })
-            local_placed
-        in
-        let bbox =
-          Rect.bbox_of_list (List.map (fun p -> p.Transform.rect) placed)
-        in
-        let placed =
-          List.map
-            (fun p ->
-              Transform.translate p ~dx:(-bbox.Rect.x) ~dy:(-bbox.Rect.y))
-            placed
-        in
-        (placed,
-         (Rect.x_max bbox - bbox.Rect.x, Rect.y_max bbox - bbox.Rect.y)))
-      groups
+  let s =
+    match s with
+    | None -> scratch n
+    | Some s when s.capacity >= n -> s
+    | Some _ -> invalid_arg "Symmetry: scratch smaller than circuit"
   in
-  (* 2. reduced sequence-pair: free cells + one super-cell per group,
-     positioned at the group's first occurrence in each sequence *)
-  let pseudo gi = n + gi in
-  let reduce order =
-    let seen = Array.make (List.length groups) false in
-    List.filter_map
-      (fun c ->
-        match group_of.(c) with
-        | None -> Some c
-        | Some gi ->
-            if seen.(gi) then None
-            else begin
-              seen.(gi) <- true;
-              Some (pseudo gi)
-            end)
-      order
-  in
-  let ids = reduce (Perm.to_list sp.Sp.alpha) in
-  let compact = Hashtbl.create 16 in
-  List.iteri (fun i c -> Hashtbl.replace compact c i) ids;
-  let to_perm order =
-    Perm.of_array
-      (Array.of_list (List.map (Hashtbl.find compact) (reduce order)))
-  in
-  let reduced_sp =
-    Sp.make
-      ~alpha:(to_perm (Perm.to_list sp.Sp.alpha))
-      ~beta:(to_perm (Perm.to_list sp.Sp.beta))
-  in
-  let ids_arr = Array.of_list ids in
-  let reduced_dims i =
-    let c = ids_arr.(i) in
-    if c < n then dims c else snd (List.nth islands (c - n))
-  in
-  let packed = Pack.pack_fast reduced_sp reduced_dims in
-  List.concat_map
-    (fun (p : Transform.placed) ->
-      let c = ids_arr.(p.Transform.cell) in
-      if c < n then [ { p with Transform.cell = c } ]
-      else
-        let island_placed, _ = List.nth islands (c - n) in
-        List.map
-          (fun q ->
-            Transform.translate q ~dx:p.Transform.rect.Rect.x
-              ~dy:p.Transform.rect.Rect.y)
-          island_placed)
-    packed
+  match prepare s ~w ~h sp dims groups with
+  | exception Infeasible msg -> Error msg
+  | ng -> (
+      match coupled s ~x ~y ~w ~h s.alpha 0 n 0 ng with
+      | () -> Ok ()
+      | exception Diverged ->
+          Telemetry.Counter.incr fallbacks;
+          segregate s ~x ~y ~w ~h n ng;
+          Ok ())
 
+(* The list API: the right-hand cell of each mirrored pair is placed
+   with orientation [MY]. *)
 let pack_symmetric sp dims groups =
-  match pack_coupled sp dims groups with
-  | placed -> Ok placed
-  | exception Infeasible msg -> Error msg
-  | exception Diverged -> (
-      match pack_segregated sp dims groups with
-      | placed -> Ok placed
-      | exception Infeasible msg -> Error msg)
-
-(* Buffer variant for the annealing arena: identical coordinates to
-   {!pack_symmetric} (tested), but written into caller arrays. The
-   coupled core writes in place; only the rare [Diverged] fallback
-   still materializes a list, whose coordinates are then copied. *)
-let pack_symmetric_into ~x ~y ~w ~h sp dims groups =
-  match pack_coupled_into ~x ~y ~w ~h sp dims groups with
-  | (_ : int list) -> Ok ()
-  | exception Infeasible msg -> Error msg
-  | exception Diverged -> (
-      match pack_segregated sp dims groups with
-      | placed ->
-          List.iter
-            (fun (p : Transform.placed) ->
-              x.(p.Transform.cell) <- p.Transform.rect.Rect.x;
-              y.(p.Transform.cell) <- p.Transform.rect.Rect.y;
-              w.(p.Transform.cell) <- p.Transform.rect.Rect.w;
-              h.(p.Transform.cell) <- p.Transform.rect.Rect.h)
-            placed;
-          Ok ()
-      | exception Infeasible msg -> Error msg)
+  let n = Sp.size sp in
+  let x = Array.make n 0 and y = Array.make n 0 in
+  let w = Array.make n 0 and h = Array.make n 0 in
+  pack_symmetric_into ~x ~y ~w ~h sp dims groups
+  |> Result.map (fun () ->
+         let mirrored = Array.make n false in
+         List.iter
+           (fun (g : group) ->
+             List.iter
+               (fun (a, b) -> mirrored.(if x.(a) <= x.(b) then b else a) <- true)
+               g.G.pairs)
+           groups;
+         List.init n (fun c ->
+             {
+               Transform.cell = c;
+               rect = Rect.make ~x:x.(c) ~y:y.(c) ~w:w.(c) ~h:h.(c);
+               orient = (if mirrored.(c) then Orientation.MY else Orientation.R0);
+             }))

@@ -39,26 +39,54 @@ val random_feasible : Prelude.Rng.t -> n:int -> group list -> Sp.t
 (** A uniformly random [alpha] and [beta] repaired by
     {!make_feasible}. *)
 
+type scratch
+(** Reusable workspace of the symmetric packer (Fenwick tree, group
+    tables, island and reduced-code buffers), valid for any
+    sequence-pair of size at most its capacity. *)
+
+val scratch : int -> scratch
+(** [scratch n] — workspace for circuits of up to [n] cells. *)
+
 val pack_symmetric :
   Sp.t ->
   Pack.dims ->
   group list ->
   (Geometry.Transform.placed list, string) result
-(** Build the minimum packing that satisfies every symmetry group
-    {e exactly}: symmetric pairs mirror about their group's common
-    vertical axis at equal [y]; self-symmetric cells are centered on
-    it. Uses a coupled constraint-graph fixpoint: longest-path lower
-    bounds alternate with per-group axis lifting until stable.
+(** Build a packing that satisfies every symmetry group {e exactly}:
+    symmetric pairs mirror about their group's common vertical axis at
+    equal [y]; self-symmetric cells are centered on it. Groups must be
+    disjoint (as {!Analysis.Lint} requires).
+
+    The packer first runs a coupled constraint-graph fixpoint:
+    longest-path lower bounds alternate with per-group axis lifting
+    until stable. Whether the y part diverges is decided without
+    iterating: its difference constraints have a positive cycle exactly
+    when pairs form a cycle of "below" relations. The x part runs at
+    most [10 (n + groups) + 21] changing passes; a run proven to grow
+    linearly forever, or whose axis passes [max_int / 8], is declared
+    diverged at once. Each pass pushes from the cells the last lift
+    raised along immediate successors (a Fenwick sweep, O(n log n),
+    where those lists would be dense). When either part diverges, the
+    packer falls back to segregation: every group is packed as a
+    symmetry island from its own sub-sequence-pair (or, should that
+    diverge too, as stacked rows), and the islands are packed as
+    super-cells with the free cells. The fallback is common, not rare:
+    over 2000 random symmetric-feasible codes (rng seed 7) it is taken
+    by 15% on Miller V2, 14% on the folded cascode, 50% on Buffer, 81%
+    on biasynth and 91% on lnamixbias.
 
     Self-symmetric cells whose width parity disagrees with the group
     axis are padded by one grid unit so the axis falls on the integer
     half-grid (documented substitution; pads are visible in the
-    returned widths). Pair cells are mirrored with orientation [MY].
+    returned widths). The right-hand cell of each pair is placed with
+    orientation [MY].
 
-    Errors if the code is not symmetric-feasible or (never observed for
-    S-F codes) the fixpoint fails to converge. *)
+    Errors if the code is not symmetric-feasible, a pair's cells differ
+    in size or are vertically related, or a cell is in two groups. *)
 
 val pack_symmetric_into :
+  ?scratch:scratch ->
+  ?fallbacks:Telemetry.Counter.t ->
   x:int array ->
   y:int array ->
   w:int array ->
@@ -67,12 +95,14 @@ val pack_symmetric_into :
   Pack.dims ->
   group list ->
   (unit, string) result
-(** Buffer variant of {!pack_symmetric} for the annealing arena: fills
-    [w]/[h] from [dims] (self-symmetric widths may come back padded, as
-    documented above) and writes the packed coordinates into [x]/[y],
-    all indexed by cell. Coordinates are identical to
-    {!pack_symmetric} (tested); per-pair mirror orientations are not
-    reported, as cost evaluation does not need them. *)
+(** Buffer variant of {!pack_symmetric}, the annealing arena's hot
+    path: fills [w]/[h] from [dims] (self-symmetric widths may come
+    back padded, as documented above) and writes the packed
+    coordinates into [x]/[y], all indexed by cell. {!pack_symmetric}
+    is a wrapper over it. With [scratch] nothing cell-sized is
+    allocated per pack; without, a fresh one is made. [fallbacks]
+    (default {!Telemetry.Counter.null}) is bumped once per segregated
+    fallback — {!Placer.Eval} passes its [symmetry.fallback] counter. *)
 
 val axis2_of : Geometry.Transform.placed list -> group -> int option
 (** The doubled axis the group actually sits on, if it is symmetric. *)

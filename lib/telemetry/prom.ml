@@ -79,6 +79,10 @@ let help raw =
   | "route.iter.ripped" -> "Per-iteration ripped-net count."
   | "route.iter.pops" -> "Per-iteration Dijkstra heap pops."
   | "route.iter.pres_fac" -> "Per-iteration present-sharing factor."
+  | "seqpair.packs" -> "Sequence-pair packs evaluated (FAST-SP and symmetric)."
+  | "seqpair.cells" -> "Cells placed by sequence-pair packs."
+  | "symmetry.fallback" ->
+      "Symmetric packs that fell back to symmetry-island segregation."
   | _ -> (
       match moves_help () with
       | Some h -> h

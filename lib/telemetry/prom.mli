@@ -17,8 +17,9 @@ val metric_name : string -> string
 
 val help : string -> string
 (** HELP prose for a raw (dotted) sink-registry name: real text for
-    the known [service.*] / [route.*] / [sa.moves.*] families, a
-    generic fallback naming the metric otherwise. *)
+    the known [service.*] / [route.*] / [sa.moves.*] families and the
+    sequence-pair pack counters, a generic fallback naming the metric
+    otherwise. *)
 
 val render : Sink.t -> string
 (** Text exposition: one [# HELP] + [# TYPE] comment pair per family

@@ -265,6 +265,177 @@ let prop_pack_symmetric_into_agrees =
       | Error a, Error b -> a = b
       | _ -> false)
 
+(* 2-3 disjoint groups of 1-3 pairs and 0-2 self-symmetric cells plus
+   free cells: cross-group chains make the coupled fixpoint diverge on
+   a good share of these codes, so the segregated fallback runs too. *)
+let arb_multi_group =
+  let gen =
+    QCheck.Gen.(
+      int_range 2 3 >>= fun ng ->
+      int_range 0 12 >>= fun free ->
+      int_bound 1_000_000 >>= fun seed ->
+      let rng = Prelude.Rng.create seed in
+      let next = ref 0 in
+      let fresh () =
+        let c = !next in
+        incr next;
+        c
+      in
+      let shapes =
+        List.init ng (fun _ ->
+            (1 + Prelude.Rng.int rng 3, Prelude.Rng.int rng 3))
+      in
+      let groups =
+        List.map
+          (fun (np, ns) ->
+            let pairs =
+              List.init np (fun _ ->
+                  let a = fresh () in
+                  (a, fresh ()))
+            in
+            let selfs = List.init ns (fun _ -> fresh ()) in
+            Constraints.Symmetry_group.make ~pairs ~selfs ())
+          shapes
+      in
+      let n = !next + free in
+      let dims =
+        Array.init n (fun _ ->
+            (1 + Prelude.Rng.int rng 20, 1 + Prelude.Rng.int rng 20))
+      in
+      List.iter
+        (fun (g : Constraints.Symmetry_group.t) ->
+          List.iter (fun (a, b) -> dims.(b) <- dims.(a)) g.pairs)
+        groups;
+      (* shuffle the labels so groups are not a prefix of the cells *)
+      let label = Array.init n Fun.id in
+      for i = n - 1 downto 1 do
+        let j = Prelude.Rng.int rng (i + 1) in
+        let t = label.(i) in
+        label.(i) <- label.(j);
+        label.(j) <- t
+      done;
+      let groups =
+        List.map
+          (fun (g : Constraints.Symmetry_group.t) ->
+            Constraints.Symmetry_group.make
+              ~pairs:(List.map (fun (a, b) -> (label.(a), label.(b))) g.pairs)
+              ~selfs:(List.map (fun f -> label.(f)) g.selfs)
+              ())
+          groups
+      in
+      let d = Array.make n (0, 0) in
+      Array.iteri (fun c l -> d.(l) <- dims.(c)) label;
+      let sp = Symmetry.random_feasible rng ~n groups in
+      return (sp, d, groups))
+  in
+  QCheck.make gen
+
+(* One scratch and one fallback counter shared by every case below. *)
+let sym_scratch = Symmetry.scratch 36
+let sym_fallbacks = Telemetry.Counter.make "symmetry.fallback"
+
+let prop_multi_group_symmetric =
+  QCheck.Test.make
+    ~name:"multi-group: into = list, mirror-exact, overlap-free" ~count:300
+    arb_multi_group (fun (sp, d, groups) ->
+      let n = Array.length d in
+      let dims c = d.(c) in
+      let x = Array.make n (-1)
+      and y = Array.make n (-1)
+      and w = Array.make n (-1)
+      and h = Array.make n (-1) in
+      match
+        ( Symmetry.pack_symmetric sp dims groups,
+          Symmetry.pack_symmetric_into ~scratch:sym_scratch
+            ~fallbacks:sym_fallbacks ~x ~y ~w ~h sp dims groups )
+      with
+      | Ok placed, Ok () ->
+          List.for_all
+            (fun (p : Geometry.Transform.placed) ->
+              let r = p.rect in
+              x.(p.cell) = r.Geometry.Rect.x
+              && y.(p.cell) = r.Geometry.Rect.y
+              && w.(p.cell) = r.Geometry.Rect.w
+              && h.(p.cell) = r.Geometry.Rect.h)
+            placed
+          && List.for_all
+               (fun g -> Option.is_some (Symmetry.axis2_of placed g))
+               groups
+          && Result.is_ok (Constraints.Placement_check.overlap_free placed)
+      | _ -> false)
+
+(* The generator must actually reach the fallback, or the property
+   above proves nothing about it. *)
+let test_multi_group_reaches_fallback () =
+  let before = Telemetry.Counter.value sym_fallbacks in
+  let rand = Random.State.make [| 13 |] in
+  let n_codes = 200 in
+  let s = Symmetry.scratch 36 in
+  for _ = 1 to n_codes do
+    let sp, d, groups = QCheck.Gen.generate1 ~rand arb_multi_group.QCheck.gen in
+    let n = Array.length d in
+    let buf () = Array.make n 0 in
+    match
+      Symmetry.pack_symmetric_into ~scratch:s ~fallbacks:sym_fallbacks
+        ~x:(buf ()) ~y:(buf ()) ~w:(buf ()) ~h:(buf ()) sp
+        (fun c -> d.(c))
+        groups
+    with
+    | Ok () -> ()
+    | Error msg -> Alcotest.fail msg
+  done;
+  let taken = Telemetry.Counter.value sym_fallbacks - before in
+  Alcotest.(check bool)
+    (Printf.sprintf "fallback taken on %d of %d codes" taken n_codes)
+    true
+    (taken > n_codes / 20 && taken < n_codes)
+
+(* Digests of [pack_symmetric_into] over 200 [random_feasible] codes
+   (rng seed 7) per Table-I circuit: Ok/Error (with its message) and
+   every x, y, w, h. Captured from the O(n^2)-pass packer with
+   list-based fallback; any change to a coordinate, a padded width or
+   a fallback decision moves them. *)
+let sym_digest (b : Netlist.Benchmarks.bench) =
+  let circuit = b.Netlist.Benchmarks.circuit in
+  let groups =
+    Constraints.Symmetry_group.of_hierarchy b.Netlist.Benchmarks.hierarchy
+  in
+  let n = Netlist.Circuit.size circuit in
+  let dims = Netlist.Circuit.dims circuit in
+  let rng = Prelude.Rng.create 7 in
+  let x = Array.make n 0 and y = Array.make n 0 in
+  let w = Array.make n 0 and h = Array.make n 0 in
+  let buf = Buffer.create 4096 in
+  for _ = 1 to 200 do
+    let sp = Symmetry.random_feasible rng ~n groups in
+    match Symmetry.pack_symmetric_into ~x ~y ~w ~h sp dims groups with
+    | Ok () ->
+        Buffer.add_char buf 'O';
+        List.iter
+          (Array.iter (fun v ->
+               Buffer.add_string buf (string_of_int v);
+               Buffer.add_char buf ','))
+          [ x; y; w; h ]
+    | Error m ->
+        Buffer.add_char buf 'E';
+        Buffer.add_string buf m
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_golden_symmetric () =
+  List.iter2
+    (fun (b : Netlist.Benchmarks.bench) expected ->
+      Alcotest.(check string) b.Netlist.Benchmarks.label expected (sym_digest b))
+    (Netlist.Benchmarks.table1_suite ())
+    [
+      "a0fd012d1f85d889586f41f924a61d4d";
+      "9b47a0a8ca98c4d24fded4b4bd459bba";
+      "28b770bb75b872e39066e79ef024a326";
+      "0ea84d28105669422c73c9d5f93529c9";
+      "8d0451b04e3411956cd53c2433fdc550";
+      "3145c07807008169f3de6719cc0b142d";
+    ]
+
 let prop_moves_preserve_permutation =
   QCheck.Test.make ~name:"moves yield valid sequence-pairs" ~count:300
     QCheck.(pair (int_range 2 15) small_int)
@@ -299,6 +470,13 @@ let () =
           Alcotest.test_case "bit vs naive" `Quick test_bit;
           Alcotest.test_case "veb vs reference" `Quick test_veb_against_reference;
         ] );
+      ( "symmetric",
+        [
+          Alcotest.test_case "multi-group codes reach the fallback" `Quick
+            test_multi_group_reaches_fallback;
+        ] );
+      ( "golden",
+        [ Alcotest.test_case "symmetric pack digests" `Quick test_golden_symmetric ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [
@@ -308,6 +486,7 @@ let () =
             prop_pack_fast_into_agrees;
             prop_pack_veb_into_agrees;
             prop_pack_symmetric_into_agrees;
+            prop_multi_group_symmetric;
             prop_pack_overlap_free;
             prop_pack_respects_relations;
             prop_moves_preserve_permutation;

@@ -351,6 +351,46 @@ let test_pipeline_coverage () =
     "acceptance histogram fed per round" out.Placer.Sa_seqpair.sa_rounds
     (T.Hist.count h)
 
+(* The symmetric branch of the arena counts its packs exactly as the
+   FAST-SP branch does, and its segregated fallbacks on a counter of
+   their own; all three reach the Prometheus export. Miller V2 (three
+   groups) falls back on about one random code in seven. *)
+let test_symmetric_pack_counters () =
+  let b =
+    List.find
+      (fun (b : Netlist.Benchmarks.bench) -> b.Netlist.Benchmarks.label = "Miller V2")
+      (Netlist.Benchmarks.table1_suite ())
+  in
+  let circuit = b.Netlist.Benchmarks.circuit in
+  let groups =
+    Constraints.Symmetry_group.of_hierarchy b.Netlist.Benchmarks.hierarchy
+  in
+  let s = live_sink () in
+  let (_ : Placer.Sa_seqpair.outcome) =
+    Placer.Sa_seqpair.place ~telemetry:s ~params:small_params ~groups
+      ~rng:(Prelude.Rng.create 7) circuit
+  in
+  let counters = T.Sink.counters s in
+  let packs = assoc "seqpair.packs" counters in
+  Alcotest.(check int) "every evaluation packed" (assoc "eval.costs" counters) packs;
+  Alcotest.(check int) "cells counted per pack"
+    (packs * Netlist.Circuit.size circuit)
+    (assoc "seqpair.cells" counters);
+  let fallbacks = assoc "symmetry.fallback" counters in
+  Alcotest.(check bool) "fallbacks counted" true (fallbacks > 0 && fallbacks < packs);
+  let prom = T.Prom.render s in
+  Alcotest.(check (result unit string)) "exposition valid" (Ok ()) (T.Prom.check prom);
+  List.iter
+    (fun (name, v) ->
+      Alcotest.(check bool) ("exported " ^ name) true
+        (contains prom (Printf.sprintf "\n%s %d\n" name v)))
+    [ ("analog_seqpair_packs", packs);
+      ("analog_symmetry_fallback", fallbacks) ];
+  Alcotest.(check bool) "exported analog_seqpair_cells" true
+    (contains prom "\nanalog_seqpair_cells ");
+  Alcotest.(check bool) "fallback HELP is prose" true
+    (contains prom "# HELP analog_symmetry_fallback Symmetric packs")
+
 let test_parallel_telemetry_merged () =
   (* roomy ring: absorbing three chains' span history must not evict
      the coordinator's own parallel.* spans *)
@@ -422,6 +462,8 @@ let () =
           Alcotest.test_case "on/off bit-identical" `Quick test_on_off_identical;
           Alcotest.test_case "span and counter coverage" `Quick
             test_pipeline_coverage;
+          Alcotest.test_case "symmetric pack counters" `Quick
+            test_symmetric_pack_counters;
           Alcotest.test_case "parallel sinks merge" `Quick
             test_parallel_telemetry_merged;
         ] );
