@@ -472,10 +472,9 @@ let push s order lo hi ~rev ~track coord extent =
   s.dmax <- -1;
   !changed
 
-(* Raise each group's doubled axis to what its cells need (rounded to
-   the self-symmetric parity), then move right pair cells and
-   self-symmetric cells onto it. Slopes ride along for the divergence
-   certificate and mean something only while it [track]s them. *)
+(* One term of the axis maximum in [lift_x], with its slope: keeps the
+   largest term, the larger slope among equal largest terms, and the
+   largest slope of any term. *)
 let offer s v slope =
   if v > s.need then begin
     s.need <- v;
@@ -484,6 +483,10 @@ let offer s v slope =
   else if v = s.need && slope > s.need_slope then s.need_slope <- slope;
   if slope > s.need_top then s.need_top <- slope
 
+(* Raise each group's doubled axis to what its cells need (rounded to
+   the self-symmetric parity), then move right pair cells and
+   self-symmetric cells onto it. Slopes ride along for the divergence
+   certificate and mean something only while it [track]s them. *)
 let lift_x s ~track ~x ~w g0 g1 =
   let t = s.tables in
   let changed = ref false in
@@ -677,8 +680,8 @@ let mark_all s lo hi =
    pushed along immediate successors: the first pass from every cell,
    later ones only from the cells the last lift raised, since a lift
    only raises cells and so only their out-edges can be violated.
-   Diverging runs change a handful of cells per pass, so this is where
-   their time went. Where the successor lists are not usable, each
+   Diverging runs change a handful of cells per pass, so a push costs
+   a small part of a sweep. Where the successor lists are not usable, each
    pass is a Fenwick sweep instead. The x phase ([watch]) also runs the
    divergence certificate, whose tracked passes push from every cell so
    that every maximum is seen. *)
