@@ -156,6 +156,7 @@ type tables = {
   aslope : int array;  (* and their slope along the orbit *)
 }
 
+(* Stage of the x-divergence certificate (see [watch_pass]). *)
 type watch = Watching | Measuring | Verifying
 
 type scratch = {
