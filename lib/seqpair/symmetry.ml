@@ -75,24 +75,33 @@ let count_exhaustive ~n groups =
   !count
 
 (* Property (1) says: in beta, the group members appear exactly in
-   decreasing alpha-position of their symmetric counterparts. *)
+   decreasing alpha-position of their symmetric counterparts. Each
+   group's members are refilled into the beta positions they hold,
+   group after group, on one copy of beta whose inverse is kept current
+   (the S-F move repairs with this on every rejected proposal). *)
 let make_feasible sp groups =
-  let beta =
-    List.fold_left
-      (fun beta (g : group) ->
-        let members = G.members g in
-        let order =
-          List.sort
-            (fun u v ->
-              Int.compare
-                (Perm.pos_of sp.Sp.alpha (Option.get (G.sym g v)))
-                (Perm.pos_of sp.Sp.alpha (Option.get (G.sym g u))))
-            members
-        in
-        Perm.reorder_cells beta ~cells:members ~order)
-      sp.Sp.beta groups
-  in
-  Sp.make ~alpha:sp.Sp.alpha ~beta
+  let n = Sp.size sp in
+  let order = Array.init n (Perm.cell_at sp.Sp.beta) in
+  let pos = Array.init n (Perm.pos_of sp.Sp.beta) in
+  List.iter
+    (fun (g : group) ->
+      let members = G.members g in
+      let sorted =
+        List.sort
+          (fun u v ->
+            Int.compare
+              (Perm.pos_of sp.Sp.alpha (Option.get (G.sym g v)))
+              (Perm.pos_of sp.Sp.alpha (Option.get (G.sym g u))))
+          members
+      in
+      let slots = List.sort Int.compare (List.map (fun c -> pos.(c)) members) in
+      List.iter2
+        (fun p c ->
+          order.(p) <- c;
+          pos.(c) <- p)
+        slots sorted)
+    groups;
+  Sp.make ~alpha:sp.Sp.alpha ~beta:(Perm.of_array order)
 
 let random_feasible rng ~n groups =
   make_feasible (Sp.random rng n) groups
