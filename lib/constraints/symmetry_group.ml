@@ -20,6 +20,21 @@ let make ?(name = "sym") ~pairs ~selfs () =
   g
 
 let cardinal g = (2 * List.length g.pairs) + List.length g.selfs
+
+let shared_cell groups =
+  let owner = Hashtbl.create 16 in
+  List.find_map
+    (fun (gi, g) ->
+      List.find_map
+        (fun c ->
+          match Hashtbl.find_opt owner c with
+          | Some gj when gj <> gi -> Some c
+          | Some _ -> None
+          | None ->
+              Hashtbl.replace owner c gi;
+              None)
+        (members g))
+    (List.mapi (fun gi g -> (gi, g)) groups)
 let mem g c = List.mem c (members g)
 
 let sym g c =

@@ -17,6 +17,11 @@ val members : t -> int list
 val cardinal : t -> int
 (** [2*p + s]: the count entering the search-space lemma. *)
 
+val shared_cell : t list -> int option
+(** The first cell, in list order, that belongs to two of the groups;
+    [None] when the groups are disjoint, as every symmetric placer
+    requires. *)
+
 val mem : t -> int -> bool
 
 val sym : t -> int -> int option
@@ -39,6 +44,10 @@ val of_hierarchy : Netlist.Hierarchy.t -> t list
     child symmetry nodes contribute their leaves as a pair; any other
     child node is ignored here (it forms a self-symmetric island handled
     by the hierarchical placers). Nested symmetry nodes yield their own
-    groups as well. *)
+    groups as well. On a hierarchy where every leaf occurs once
+    ({!Netlist.Hierarchy.validate}) the groups are disjoint: a leaf
+    joins only the group of its symmetry parent, or of its symmetry
+    grandparent through a two-leaf child, whose own group is then
+    dropped as covered. *)
 
 val pp : Format.formatter -> t -> unit

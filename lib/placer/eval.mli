@@ -61,7 +61,8 @@ val cost_seqpair :
 (** Pack the sequence-pair (with per-cell rotations; symmetric packing
     when [groups] is non-empty) into the arena and return its cost.
     Raises [Invalid_argument] if a symmetric pack is requested for a
-    non-symmetric-feasible code, like the list path it replaces. *)
+    non-symmetric-feasible code or for groups that share a cell, like
+    the list path it replaces. *)
 
 val cost_bstar : t -> Cost.weights -> Bstar.Flat.t -> rot:bool array -> float
 (** Contour-pack the flat B*-tree (with per-cell rotations) into the

@@ -128,6 +128,11 @@ let problem_of ?(validate = false) ?estimator ~weights ~groups circuit telemetry
 let place ?(weights = Cost.default) ?params ?(groups = []) ?workers ?chains
     ?(mode = `Deterministic) ?validate ?estimator
     ?(telemetry = Telemetry.Sink.null) ~rng circuit =
+  (match Constraints.Symmetry_group.shared_cell groups with
+  | Some c ->
+      invalid_arg
+        (Printf.sprintf "Sa_seqpair.place: cell %d is in two symmetry groups" c)
+  | None -> ());
   Annealing.place ~engine:"sp" ~params ~workers ~chains ~mode ~validate
     ~telemetry ~rng circuit
     ~audit:(fun c -> audit ~groups circuit c.Anneal.Sa.current)

@@ -98,4 +98,7 @@ val place :
     packer counters from the arena, and per-move-class
     [sa.moves.seqpair.*] / [sa.moves.rotation.*] accept/reject
     tallies. Telemetry never draws from [rng], so results are
-    bit-identical with it on or off (tested). *)
+    bit-identical with it on or off (tested).
+
+    Raises [Invalid_argument] before annealing if two of [groups]
+    share a cell: the symmetric packer requires disjoint groups. *)

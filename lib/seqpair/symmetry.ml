@@ -159,20 +159,12 @@ type tables = {
   iw : int array;  (* island extents *)
   ih : int array;
   ibeta : int array;  (* first beta position of the group *)
-  hist : int array;  (* axes after each of the last [2 max_period + 1] passes *)
-  asnap : int array;  (* divergence certificate: axes at the period start, *)
-  adelta : int array;  (* their step over one period, *)
-  aslope : int array;  (* and their slope along the orbit *)
 }
-
-(* Stage of the x-divergence certificate (see [watch_pass]). *)
-type watch = Watching | Measuring | Verifying
 
 type scratch = {
   capacity : int;
   bit : Bit.t;  (* prefix maxima over beta positions *)
   alpha : int array;  (* cells in alpha order *)
-  apos : int array;  (* cell -> alpha position *)
   bpos : int array;  (* cell -> beta position, the Fenwick index *)
   dw : int array;  (* unpadded dimensions *)
   dh : int array;
@@ -190,40 +182,12 @@ type scratch = {
   ry : int array;
   rw : int array;
   rh : int array;
-  spos : int array;  (* cell -> sweep index *)
-  succ_start : int array;  (* sweep index -> its first immediate successor *)
-  succ : int array;  (* immediate successors, as sweep indices *)
-  dirty : bool array;  (* sweep indices whose out-edges may be violated *)
-  mutable dmin : int;  (* every dirty index lies in [dmin, dmax] *)
-  mutable dmax : int;
-  slope : int array;  (* divergence certificate, cell-indexed: slopes, *)
-  tops : int array;  (* the largest slope offered to each cell, *)
-  snap : int array;  (* coordinates at the period start, *)
-  delta : int array;  (* and their step over one period *)
-  mutable need : int;  (* [offer] accumulator: the largest term, *)
-  mutable need_slope : int;  (* its slope (the larger on ties), *)
-  mutable need_top : int;  (* and the largest slope of any term *)
-  mutable certified : bool;
-  mutable watch : watch;
-  mutable period : int;
-  mutable left : int;  (* passes left in the current stage *)
-  mutable next_try : int;
-  mutable gap : int;
-  indeg : int array;  (* y-cycle test: in-degrees of pairs, *)
-  ready : int array;  (* and the stack of pairs with none left *)
   mutable tables : tables;
 }
-
-(* Longest period of linear x divergence the certificate looks for. *)
-let max_period = 8
 
 let tables groups =
   let a () = Array.make (groups + 1) 0 in
   {
-    hist = Array.make (((2 * max_period) + 1) * (groups + 1)) 0;
-    asnap = a ();
-    adelta = a ();
-    aslope = a ();
     pstart = a ();
     sstart = a ();
     axis2 = a ();
@@ -233,15 +197,6 @@ let tables groups =
     ibeta = a ();
   }
 
-(* Edge budget of the immediate-successor lists of [len] cells: about
-   the work of one Fenwick sweep, 2 len log2 len. *)
-let max_edges len =
-  let log2 = ref 1 in
-  while 1 lsl !log2 < len do
-    incr log2
-  done;
-  2 * len * !log2
-
 let scratch capacity =
   let capacity = max 1 capacity in
   let a () = Array.make capacity 0 in
@@ -249,7 +204,6 @@ let scratch capacity =
     capacity;
     bit = Bit.create capacity;
     alpha = a ();
-    apos = a ();
     bpos = a ();
     dw = a ();
     dh = a ();
@@ -267,27 +221,6 @@ let scratch capacity =
     ry = a ();
     rw = a ();
     rh = a ();
-    spos = a ();
-    succ_start = Array.make (capacity + 1) 0;
-    succ = Array.make (max_edges capacity) 0;
-    dirty = Array.make capacity false;
-    dmin = max_int;
-    dmax = -1;
-    slope = a ();
-    tops = a ();
-    snap = a ();
-    delta = a ();
-    need = 0;
-    need_slope = 0;
-    need_top = 0;
-    certified = false;
-    watch = Watching;
-    period = 0;
-    left = 0;
-    next_try = 0;
-    gap = 0;
-    indeg = a ();
-    ready = a ();
     tables = tables 8;
   }
 
@@ -306,7 +239,6 @@ let prepare s ~w ~h sp dims groups =
     w.(c) <- cw;
     h.(c) <- ch;
     s.alpha.(c) <- Perm.cell_at sp.Sp.alpha c;
-    s.apos.(c) <- Perm.pos_of sp.Sp.alpha c;
     s.bpos.(c) <- Perm.pos_of sp.Sp.beta c;
     s.group_of.(c) <- -1
   done;
@@ -367,23 +299,20 @@ let prepare s ~w ~h sp dims groups =
   t.sstart.(ng) <- !k;
   ng
 
-(* The cell at sweep index [t] of [order.(lo .. hi-1)]: alpha order for
-   the left-of (x) sweeps, reverse alpha order for the below (y)
-   sweeps. Either way a cell's predecessors are the cells earlier in
-   the sweep with a smaller beta position. *)
-let at order lo hi ~rev t = order.(if rev then lo + hi - 1 - t else t)
-
-(* One longest-path sweep: each cell rises to the largest
-   [coord + extent] over its predecessors, values already raised in
-   this sweep included. That maximum is a prefix maximum over beta
-   positions, kept in the Fenwick tree exactly as FAST-SP does
+(* One longest-path sweep over [order.(lo .. hi-1)]: alpha order for
+   the left-of (x) sweeps, reverse alpha order with [rev] for the below
+   (y) sweeps; either way a cell's predecessors are the cells earlier
+   in the sweep with a smaller beta position. Each cell rises to the
+   largest [coord + extent] over its predecessors, values already
+   raised in this sweep included. That maximum is a prefix maximum over
+   beta positions, kept in the Fenwick tree exactly as FAST-SP does
    ({!Pack.pack_fast_into}), so a pass costs O(len log n) instead of
    the O(len^2) double loop. True if anything rose. *)
 let propagate bit bp order lo hi ~rev coord extent =
   Bit.clear bit;
   let changed = ref false in
   for t = lo to hi - 1 do
-    let b = at order lo hi ~rev t in
+    let b = order.(if rev then lo + hi - 1 - t else t) in
     let p = bp.(b) in
     let need = Bit.prefix_max bit (p - 1) in
     if coord.(b) < need then begin
@@ -394,154 +323,42 @@ let propagate bit bp order lo hi ~rev coord extent =
   done;
   !changed
 
-(* Sweep indices whose out-edges a lift may have violated. *)
-let mark s c =
-  let t = s.spos.(c) in
-  s.dirty.(t) <- true;
-  if t < s.dmin then s.dmin <- t;
-  if t > s.dmax then s.dmax <- t
-
-let clear_dirty s =
-  for t = s.dmin to s.dmax do
-    s.dirty.(t) <- false
-  done;
-  s.dmin <- max_int;
-  s.dmax <- -1
-
-(* Immediate successors of every sweep index: the later cells with a
-   larger beta position and no such cell in between -- the transitive
-   reduction of the sweep's order, about n ln n edges on random codes.
-   False, and pushes are not used, if some extent is negative (only
-   non-negative extents make an implied edge never bind harder than its
-   path of immediate edges), the extents sum past [coord_limit], or the
-   reduction is so dense that a push could cost more than a Fenwick
-   sweep (up to n^2 / 4 edges on some codes). *)
-let build_successors s order lo hi ~rev extent =
-  let ok = ref true and total = ref 0 and len = ref 0 in
-  let cap = max_edges (hi - lo) in
-  let t = ref lo in
-  while !ok && !t < hi do
-    s.succ_start.(!t) <- !len;
-    let a = at order lo hi ~rev !t in
-    if extent.(a) < 0 || extent.(a) > coord_limit - !total then ok := false
-    else total := !total + extent.(a);
-    let pa = s.bpos.(a) in
-    let bound = ref max_int and u = ref (!t + 1) in
-    while !ok && !u < hi && !bound > pa + 1 do
-      let pb = s.bpos.(at order lo hi ~rev !u) in
-      if pb > pa && pb < !bound then
-        if !len = cap then ok := false
-        else begin
-          s.succ.(!len) <- !u;
-          incr len;
-          bound := pb
-        end;
-      incr u
-    done;
-    incr t
-  done;
-  s.succ_start.(hi) <- !len;
-  !ok
-
-(* The closure [propagate] computes, done incrementally: when every
-   constraint holds except those out of the dirty sweep indices,
-   pushing along immediate successors in sweep order raises exactly the
-   cells the full sweep raises, to the same values, so [changed] and
-   every coordinate agree with it. Costs the raised cells' out-degrees
-   instead of a full O(len log n) sweep. With [track] (every index
-   dirty) it also carries slopes for the divergence certificate: each
-   cell takes the slope of its largest term, and the certificate fails
-   if any term offered to it has a larger one. *)
-let push s order lo hi ~rev ~track coord extent =
-  let changed = ref false in
-  let t = ref s.dmin and last = ref s.dmax in
-  while !t <= !last do
-    if s.dirty.(!t) then begin
-      s.dirty.(!t) <- false;
-      let a = at order lo hi ~rev !t in
-      let v = coord.(a) + extent.(a) and sa = s.slope.(a) in
-      if track && s.tops.(a) > sa then s.certified <- false;
-      for e = s.succ_start.(!t) to s.succ_start.(!t + 1) - 1 do
-        let u = s.succ.(e) in
-        let b = at order lo hi ~rev u in
-        if coord.(b) < v then begin
-          coord.(b) <- v;
-          changed := true;
-          s.dirty.(u) <- true;
-          if u > !last then last := u;
-          if track then s.slope.(b) <- sa
-        end
-        else if track && coord.(b) = v && sa > s.slope.(b) then
-          s.slope.(b) <- sa;
-        if track && sa > s.tops.(b) then s.tops.(b) <- sa
-      done
-    end;
-    incr t
-  done;
-  s.dmin <- max_int;
-  s.dmax <- -1;
-  !changed
-
-(* One term of the axis maximum in [lift_x], with its slope: keeps the
-   largest term, the larger slope among equal largest terms, and the
-   largest slope of any term. *)
-let offer s v slope =
-  if v > s.need then begin
-    s.need <- v;
-    s.need_slope <- slope
-  end
-  else if v = s.need && slope > s.need_slope then s.need_slope <- slope;
-  if slope > s.need_top then s.need_top <- slope
-
 (* Raise each group's doubled axis to what its cells need (rounded to
    the self-symmetric parity), then move right pair cells and
-   self-symmetric cells onto it. Slopes ride along for the divergence
-   certificate and mean something only while it [track]s them. *)
-let lift_x s ~track ~x ~w g0 g1 =
+   self-symmetric cells onto it. *)
+let lift_x s ~x ~w g0 g1 =
   let t = s.tables in
   let changed = ref false in
   for gi = g0 to g1 - 1 do
     let p0 = t.pstart.(gi) and p1 = t.pstart.(gi + 1) in
     let s0 = t.sstart.(gi) and s1 = t.sstart.(gi + 1) in
-    s.need <- t.axis2.(gi);
-    s.need_slope <- t.aslope.(gi);
-    s.need_top <- t.aslope.(gi);
+    let need = ref t.axis2.(gi) in
     for k = p0 to p1 - 1 do
       let l = s.pl.(k) and r = s.pr.(k) in
-      offer s (x.(l) + x.(r) + w.(l)) (s.slope.(l) + s.slope.(r))
+      need := Int.max !need (x.(l) + x.(r) + w.(l))
     done;
     for k = s0 to s1 - 1 do
       let f = s.sf.(k) in
-      offer s ((2 * x.(f)) + w.(f)) (2 * s.slope.(f))
+      need := Int.max !need ((2 * x.(f)) + w.(f))
     done;
-    let sa = s.need_slope in
-    (* parity rounding stays affine only under an even slope *)
-    if track && (s.need_top > sa || (s1 > s0 && sa land 1 <> 0)) then
-      s.certified <- false;
-    if s1 > s0 && s.need land 1 <> w.(s.sf.(s0)) land 1 then
-      s.need <- s.need + 1;
-    let a2 = s.need in
+    if s1 > s0 && !need land 1 <> w.(s.sf.(s0)) land 1 then incr need;
+    let a2 = !need in
     if a2 > coord_limit then raise Diverged;
     t.axis2.(gi) <- a2;
-    t.aslope.(gi) <- sa;
     for k = p0 to p1 - 1 do
       let l = s.pl.(k) and r = s.pr.(k) in
       let v = a2 - x.(l) - w.(l) in
-      s.slope.(r) <- sa - s.slope.(l);
       if v <> x.(r) then begin
         (* v >= x.(r) by construction of a2 *)
         x.(r) <- v;
-        mark s r;
         changed := true
       end
     done;
     for k = s0 to s1 - 1 do
       let f = s.sf.(k) in
       let v = (a2 - w.(f)) / 2 in
-      s.slope.(f) <- sa / 2;
       if v <> x.(f) then begin
         x.(f) <- v;
-        mark s f;
         changed := true
       end
     done
@@ -553,230 +370,28 @@ let lift_y s ~y p0 p1 =
   let changed = ref false in
   for k = p0 to p1 - 1 do
     let l = s.pl.(k) and r = s.pr.(k) in
-    if y.(l) < y.(r) then begin
-      y.(l) <- y.(r);
-      mark s l;
-      changed := true
-    end
-    else if y.(r) < y.(l) then begin
-      y.(r) <- y.(l);
-      mark s r;
+    if y.(l) <> y.(r) then begin
+      let m = Int.max y.(l) y.(r) in
+      y.(l) <- m;
+      y.(r) <- m;
       changed := true
     end
   done;
   !changed
 
-(* Repeat [pass] until it changes nothing; [Diverged] once [limit]
-   passes in a row have all changed something. *)
-let converge limit pass =
-  let rec go k = if k >= limit then raise Diverged else if pass () then go (k + 1) in
-  go 0
-
-(* The x phase's divergence certificate. Most x runs that reach the
-   cap diverge linearly: after a transient, every [p] passes add the
-   same step D to the axes and coordinates. A pass is a composition of
-   maxima of affine terms, so along the ray S + j D (j >= 0) it is
-   affine as long as, in every maximum, the largest term also has the
-   largest slope: such a term stays largest for every j. When the axes
-   repeat a step twice, the watch records the state S and, one period
-   later, D; it then runs the next period tracking slopes from D. If
-   every maximum passed that test (the self-symmetric parity rounding
-   needs an even slope), every pass changed something and the period
-   ends at S + 2 D with slopes D again, the orbit is S + j D forever.
-   Each pass then keeps changing (a rise whose slope is no smaller than
-   its cell's never closes), so the capped loop could only end in
-   [Diverged], and it is raised at once. A failed attempt retries after
-   a doubling gap. The passes themselves are the ordinary ones. *)
-let watch_start s =
-  s.watch <- Watching;
-  s.next_try <- (2 * max_period) + 1;
-  s.gap <- 8
-
-let snapshot s order lo hi g0 g1 coord =
-  for k = lo to hi - 1 do
-    let c = order.(k) in
-    s.snap.(c) <- coord.(c)
-  done;
-  Array.blit s.tables.axis2 g0 s.tables.asnap g0 (g1 - g0)
-
-(* The axes after pass [k], group [i], from the ring of recent passes. *)
-let slot ng k i = ((k mod ((2 * max_period) + 1)) * ng) + i
-
-(* The axes moved by the same nonzero step over the last two periods. *)
-let periodic s ng k p =
-  let hist k i = s.tables.hist.(slot ng k i) in
-  let moved = ref false and same = ref true in
-  for i = 0 to ng - 1 do
-    let d = hist k i - hist (k - p) i in
-    if d <> 0 then moved := true;
-    if d <> hist (k - p) i - hist (k - (2 * p)) i then same := false
-  done;
-  !moved && !same
-
-(* The verified period ended at S + 2 D with slopes D. *)
-let stepped s order lo hi g0 g1 coord =
-  let t = s.tables in
-  let ok = ref true in
-  for k = lo to hi - 1 do
-    let c = order.(k) in
-    if coord.(c) - s.snap.(c) <> s.delta.(c) || s.slope.(c) <> s.delta.(c)
-    then ok := false
-  done;
-  for gi = g0 to g1 - 1 do
-    if t.axis2.(gi) - t.asnap.(gi) <> t.adelta.(gi)
-       || t.aslope.(gi) <> t.adelta.(gi)
-    then ok := false
-  done;
-  !ok
-
-let give_up s pass =
-  s.watch <- Watching;
-  s.next_try <- pass + s.gap;
-  s.gap <- 2 * s.gap
-
-(* Called after every x pass: record the axes and advance the watch. *)
-let watch_pass s order lo hi g0 g1 coord ~pass ~changed =
-  let t = s.tables and ng = g1 - g0 in
-  for i = 0 to ng - 1 do
-    t.hist.(slot ng pass i) <- t.axis2.(g0 + i)
-  done;
-  match s.watch with
-  | Watching ->
-      if pass >= s.next_try then begin
-        let p = ref 1 in
-        while !p <= max_period && not (periodic s ng pass !p) do
-          incr p
-        done;
-        if !p <= max_period then begin
-          snapshot s order lo hi g0 g1 coord;
-          s.watch <- Measuring;
-          s.period <- !p;
-          s.left <- !p
-        end
-      end
-  | Measuring ->
-      s.left <- s.left - 1;
-      if s.left = 0 then begin
-        for k = lo to hi - 1 do
-          let c = order.(k) in
-          s.delta.(c) <- coord.(c) - s.snap.(c);
-          s.slope.(c) <- s.delta.(c)
-        done;
-        for gi = g0 to g1 - 1 do
-          t.adelta.(gi) <- t.axis2.(gi) - t.asnap.(gi);
-          t.aslope.(gi) <- t.adelta.(gi)
-        done;
-        snapshot s order lo hi g0 g1 coord;
-        s.certified <- true;
-        s.watch <- Verifying;
-        s.left <- s.period
-      end
-  | Verifying ->
-      s.left <- s.left - 1;
-      if not (changed && s.certified) then give_up s pass
-      else if s.left = 0 then
-        if stepped s order lo hi g0 g1 coord then raise Diverged
-        else give_up s pass
-
-let mark_all s lo hi =
-  for t = lo to hi - 1 do
-    s.dirty.(t) <- true
-  done;
-  s.dmin <- lo;
-  s.dmax <- hi - 1
-
-(* One phase of the coupled fixpoint: passes of a longest-path closure
-   followed by [lift], at most [limit] of them changing. The closure is
-   pushed along immediate successors: the first pass from every cell,
-   later ones only from the cells the last lift raised, since a lift
-   only raises cells and so only their out-edges can be violated.
-   Diverging runs change a handful of cells per pass, so a push costs
-   a small part of a sweep. Where the successor lists are not usable, each
-   pass is a Fenwick sweep instead. The x phase ([watch]) also runs the
-   divergence certificate, whose tracked passes push from every cell so
-   that every maximum is seen. *)
-let phase s order lo hi ~rev ~limit ~watch g0 g1 coord extent lift =
-  clear_dirty s;
-  let incremental = build_successors s order lo hi ~rev extent in
-  for t = lo to hi - 1 do
-    s.spos.(at order lo hi ~rev t) <- t
-  done;
-  if incremental then mark_all s lo hi;
-  let watch = watch && incremental in
-  if watch then watch_start s;
-  let pass = ref 0 in
-  converge limit (fun () ->
-      incr pass;
-      let track = watch && s.watch = Verifying in
-      if track then begin
-        mark_all s lo hi;
-        for k = lo to hi - 1 do
-          s.tops.(order.(k)) <- s.slope.(order.(k))
-        done
-      end;
-      let a =
-        if incremental then push s order lo hi ~rev ~track coord extent
-        else begin
-          clear_dirty s;
-          propagate s.bit s.bpos order lo hi ~rev coord extent
-        end
-      in
-      let b = lift ~track in
-      let changed = a || b in
-      if watch then watch_pass s order lo hi g0 g1 coord ~pass:!pass ~changed;
-      changed)
-
-(* Whether the y phase of pairs [p0 .. p1-1] diverges, decided without
-   iterating: it diverges exactly when its difference constraints have
-   a positive cycle (see [coupled]). "Below" is a strict order
-   (transitive), so chains of below-edges through other cells contract
-   to single below-edges; with positive heights a positive cycle is then
-   exactly a cycle in the graph on pairs "some cell of pair i is below
-   some cell of pair j" (a pair's own cells are never vertically
-   related). Kahn's algorithm finds one in O(P^2). A zero or negative
-   height on a pair cell leaves the answer to the iteration (false). *)
-let y_diverges s ~h p0 p1 =
-  let below a b = s.apos.(a) > s.apos.(b) && s.bpos.(a) < s.bpos.(b) in
-  let edge i j =
-    let li = s.pl.(i) and ri = s.pr.(i) and lj = s.pl.(j) and rj = s.pr.(j) in
-    below li lj || below li rj || below ri lj || below ri rj
+(* One phase of the coupled fixpoint: a Fenwick longest-path sweep
+   followed by [lift], repeated until a pass changes nothing;
+   [Diverged] once [limit] passes in a row have all changed
+   something. *)
+let phase s order lo hi ~rev ~limit coord extent lift =
+  let rec go k =
+    if k >= limit then raise Diverged
+    else
+      let a = propagate s.bit s.bpos order lo hi ~rev coord extent in
+      let b = lift () in
+      if a || b then go (k + 1)
   in
-  let positive = ref true in
-  for i = p0 to p1 - 1 do
-    if h.(s.pl.(i)) <= 0 || h.(s.pr.(i)) <= 0 then positive := false
-  done;
-  !positive
-  && begin
-       let top = ref 0 in
-       for j = p0 to p1 - 1 do
-         let d = ref 0 in
-         for i = p0 to p1 - 1 do
-           if i <> j && edge i j then incr d
-         done;
-         s.indeg.(j - p0) <- !d;
-         if !d = 0 then begin
-           s.ready.(!top) <- j;
-           incr top
-         end
-       done;
-       let removed = ref 0 in
-       while !top > 0 do
-         decr top;
-         let i = s.ready.(!top) in
-         incr removed;
-         for j = p0 to p1 - 1 do
-           if i <> j && edge i j then begin
-             let d = s.indeg.(j - p0) - 1 in
-             s.indeg.(j - p0) <- d;
-             if d = 0 then begin
-               s.ready.(!top) <- j;
-               incr top
-             end
-           end
-         done
-       done;
-       !removed < p1 - p0
-     end
+  go 0
 
 (* Minimal coupled packing of the cells [order.(lo .. hi-1)] (in alpha
    order) under groups [g0 .. g1-1]: longest-path lower bounds
@@ -788,22 +403,20 @@ let y_diverges s ~h p0 p1 =
 
    The two phases share no state (y, h and the pairs for y; x, w and
    the axes for x), so their order changes no coordinate and the
-   outcome is Diverged if either diverges. y divergence is decided
-   first ([y_diverges]), then x runs, then y. The y phase is a pure
-   difference-constraint system: each below-edge a -> b has weight
-   h(a) > 0 and each pair is two edges of weight 0 (y(l) = y(r)).
-   Starting from 0, every update stays below the least solution if one
-   exists. A pass relaxes all below-edges in topological order (reverse
-   alpha) and then every pair edge once, so after pass k every path
-   with fewer than k pair edges is realized. A simple path uses each of
-   the P pairs at most once, hence a least solution is reached within
-   P + 1 changing passes; a pass P + 2 that still changes proves a
-   positive cycle, i.e. divergence. That bound stays as the safety net
-   behind [y_diverges]. The x phase also lifts axes with parity
-   rounding, has no bound of that kind and keeps the historical cap of
-   10 (cells + groups) + 21 passes (converged x runs take over a
-   hundred passes on the larger Table-I circuits), with the
-   linear-divergence certificate ([watch_pass]) in front of it. *)
+   outcome is Diverged if either diverges. y runs first because it has
+   an exact bound. It is a pure difference-constraint system: each
+   below-edge a -> b has weight h(a) > 0 and each pair is two edges of
+   weight 0 (y(l) = y(r)). Starting from 0, every update stays below
+   the least solution if one exists. A pass relaxes all below-edges in
+   topological order (reverse alpha) and then every pair edge once, so
+   after pass k every path with fewer than k pair edges is realized. A
+   simple path uses each of the P pairs at most once, hence a least
+   solution is reached within P + 1 changing passes; a pass P + 2 that
+   still changes proves a positive cycle, i.e. divergence. The x phase
+   also lifts axes with parity rounding, has no bound of that kind and
+   keeps the historical cap of 10 (cells + groups) + 21 passes
+   (converged x runs take over a hundred passes on the larger Table-I
+   circuits). *)
 let coupled s ~x ~y ~w ~h order lo hi g0 g1 =
   for k = lo to hi - 1 do
     let c = order.(k) in
@@ -813,13 +426,12 @@ let coupled s ~x ~y ~w ~h order lo hi g0 g1 =
   let t = s.tables in
   Array.fill t.axis2 g0 (g1 - g0) 0;
   let p0 = t.pstart.(g0) and p1 = t.pstart.(g1) in
-  if y_diverges s ~h p0 p1 then raise Diverged;
+  phase s order lo hi ~rev:true ~limit:(p1 - p0 + 2) y h (fun () ->
+      lift_y s ~y p0 p1);
   phase s order lo hi ~rev:false
     ~limit:((10 * (hi - lo + g1 - g0)) + 21)
-    ~watch:true g0 g1 x w
-    (fun ~track -> lift_x s ~track ~x ~w g0 g1);
-  phase s order lo hi ~rev:true ~limit:(p1 - p0 + 2) ~watch:false g0 g1 y h
-    (fun ~track:_ -> lift_y s ~y p0 p1)
+    x w
+    (fun () -> lift_x s ~x ~w g0 g1)
 
 (* Terminal fallback for one group: rows of mirrored pairs (in listed
    order) around a column of self-symmetric cells padded to even widths

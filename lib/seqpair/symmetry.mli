@@ -55,25 +55,25 @@ val pack_symmetric :
 (** Build a packing that satisfies every symmetry group {e exactly}:
     symmetric pairs mirror about their group's common vertical axis at
     equal [y]; self-symmetric cells are centered on it. Groups must be
-    disjoint (as {!Analysis.Lint} requires).
+    disjoint (as {!Analysis.Lint} requires; see
+    {!Constraints.Symmetry_group.shared_cell}).
 
     The packer first runs a coupled constraint-graph fixpoint:
     longest-path lower bounds alternate with per-group axis lifting
-    until stable. Whether the y part diverges is decided without
-    iterating: its difference constraints have a positive cycle exactly
-    when pairs form a cycle of "below" relations. The x part runs at
-    most [10 (n + groups) + 21] changing passes; a run proven to grow
-    linearly forever, or whose axis passes [max_int / 8], is declared
-    diverged at once. Each pass pushes from the cells the last lift
-    raised along immediate successors (a Fenwick sweep, O(n log n),
-    where those lists would be dense). When either part diverges, the
-    packer falls back to segregation: every group is packed as a
-    symmetry island from its own sub-sequence-pair (or, should that
-    diverge too, as stacked rows), and the islands are packed as
-    super-cells with the free cells. The fallback is common, not rare:
-    over 2000 random symmetric-feasible codes (rng seed 7) it is taken
-    by 15% on Miller V2, 14% on the folded cascode, 50% on Buffer, 81%
-    on biasynth and 91% on lnamixbias.
+    until stable. Each pass is a Fenwick prefix-max sweep, O(n log n).
+    The y part runs first, at most P + 2 changing passes for P pairs:
+    its difference constraints reach their least solution within
+    P + 1, so a pass P + 2 that still changes proves divergence. The x
+    part runs at most [10 (n + groups) + 21] changing passes, and a run
+    whose axis passes [max_int / 8] is declared diverged at once. When
+    either part diverges, the packer falls back to segregation: every
+    group is packed as a symmetry island from its own
+    sub-sequence-pair (or, should that diverge too, as stacked rows),
+    and the islands are packed as super-cells with the free cells. The
+    fallback is common, not rare: over 2000 random symmetric-feasible
+    codes (rng seed 7) it is taken by 15% on Miller V2, 14% on the
+    folded cascode, 50% on Buffer, 81% on biasynth and 91% on
+    lnamixbias.
 
     Self-symmetric cells whose width parity disagrees with the group
     axis are padded by one grid unit so the axis falls on the integer

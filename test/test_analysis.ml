@@ -310,6 +310,54 @@ let test_of_hierarchy_nested_group () =
   Alcotest.(check (list int)) "all cells covered" [ 0; 1; 2; 3; 4 ]
     (List.sort Int.compare members)
 
+(* Random hierarchies in which every leaf occurs once, with random
+   constraint kinds on the internal nodes (two-leaf symmetry children
+   under symmetry parents included). *)
+let arb_valid_hierarchy =
+  let kinds = [ H.Symmetry; H.Symmetry; H.Free; H.Proximity; H.Common_centroid ] in
+  let gen =
+    QCheck.Gen.(
+      int_range 1 16 >>= fun n ->
+      int_bound 1_000_000 >>= fun seed ->
+      let rng = Prelude.Rng.create seed in
+      let node cs = H.node ~kind:(Prelude.Rng.choose rng kinds) "n" cs in
+      let rec build = function
+        | [ c ] -> if Prelude.Rng.int rng 3 = 0 then node [ H.Leaf c ] else H.Leaf c
+        | cs ->
+            (* cut after a forced position and after others at random *)
+            let len = List.length cs in
+            let forced = 1 + Prelude.Rng.int rng (len - 1) in
+            let chunks, last =
+              List.fold_left
+                (fun (chunks, cur) (i, c) ->
+                  if i > 0 && (i = forced || Prelude.Rng.int rng 3 = 0) then
+                    (List.rev cur :: chunks, [ c ])
+                  else (chunks, c :: cur))
+                ([], [])
+                (List.mapi (fun i c -> (i, c)) cs)
+            in
+            node (List.rev_map build (List.rev last :: chunks))
+      in
+      return (n, build (Array.to_list (Prelude.Rng.permutation rng n))))
+  in
+  QCheck.make gen
+
+let prop_of_hierarchy_disjoint =
+  QCheck.Test.make ~name:"of_hierarchy: valid hierarchy gives disjoint groups"
+    ~count:300 arb_valid_hierarchy (fun (n, h) ->
+      Result.is_ok (H.validate h ~n_modules:n)
+      &&
+      let gs = G.of_hierarchy h in
+      G.shared_cell gs = None && not (has_code "AL005" (Lint.groups (uniform n) gs)))
+
+let test_shared_cell () =
+  let g1 = G.make ~name:"a" ~pairs:[ (0, 1) ] ~selfs:[ 2 ] () in
+  let g2 = G.make ~name:"b" ~pairs:[ (3, 4) ] ~selfs:[] () in
+  let g3 = G.make ~name:"c" ~pairs:[ (5, 2) ] ~selfs:[ 1 ] () in
+  Alcotest.(check (option int)) "disjoint" None (G.shared_cell [ g1; g2 ]);
+  Alcotest.(check (option int)) "first shared in list order" (Some 2)
+    (G.shared_cell [ g1; g2; g3 ])
+
 let test_of_hierarchy_ignores_non_leaf () =
   (* non-symmetry child nodes are ignored by the parent group (they
      become islands for the hierarchical placers) but still recursed
@@ -987,6 +1035,8 @@ let () =
           Alcotest.test_case "nested group" `Quick test_of_hierarchy_nested_group;
           Alcotest.test_case "ignored non-leaf children" `Quick
             test_of_hierarchy_ignores_non_leaf;
+          Alcotest.test_case "shared cell" `Quick test_shared_cell;
+          QCheck_alcotest.to_alcotest prop_of_hierarchy_disjoint;
         ] );
       ( "invariants",
         [

@@ -90,6 +90,17 @@ let test_sa_seqpair_symmetric () =
       Alcotest.failf "SA result not symmetric: %a"
         Constraints.Placement_check.pp_violation v
 
+let test_sa_seqpair_overlapping_groups () =
+  let g1 = Constraints.Symmetry_group.make ~pairs:[ (0, 1) ] ~selfs:[] () in
+  let g2 = Constraints.Symmetry_group.make ~pairs:[] ~selfs:[ 1; 2 ] () in
+  Alcotest.check_raises "rejected before annealing"
+    (Invalid_argument "Sa_seqpair.place: cell 1 is in two symmetry groups")
+    (fun () ->
+      ignore
+        (Placer.Sa_seqpair.place ~params:small_params ~groups:[ g1; g2 ]
+           ~rng:(Prelude.Rng.create 2) (tiny_circuit ())
+          : Placer.Sa_seqpair.outcome))
+
 let test_sa_bstar () =
   let rng = Prelude.Rng.create 3 in
   let out = Placer.Sa_bstar.place ~params:small_params ~rng (tiny_circuit ()) in
@@ -699,6 +710,8 @@ let () =
         [
           Alcotest.test_case "seqpair flat" `Quick test_sa_seqpair_flat;
           Alcotest.test_case "seqpair symmetric" `Quick test_sa_seqpair_symmetric;
+          Alcotest.test_case "seqpair overlapping groups" `Quick
+            test_sa_seqpair_overlapping_groups;
           Alcotest.test_case "seqpair parallel" `Quick test_sa_seqpair_parallel;
           Alcotest.test_case "bstar" `Quick test_sa_bstar;
           Alcotest.test_case "bstar parallel" `Quick test_sa_bstar_parallel;
